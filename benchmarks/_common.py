@@ -1,89 +1,54 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module reproduces one table or figure of the paper on scaled
-instances (see DESIGN.md for the substitution rationale) and prints the rows it
-produces so the run log doubles as the experiment record in EXPERIMENTS.md.
-The modules use the ``benchmark`` fixture of pytest-benchmark with a single
-round: the quantity of interest is the experiment output, the wall-clock time
-of the run is only reported for orientation.
+Most benchmark modules reproduce one table or figure of the paper on scaled
+instances and print the rows they produce, so the run log doubles as the
+experiment record.  The modules use the ``benchmark`` fixture of
+pytest-benchmark with a single round: the quantity of interest is the
+experiment output, the wall-clock time of the run is only reported for
+orientation.
 
-Timing protocol (perf-regression benchmarks)
---------------------------------------------
+Timing protocol (wall-clock ratio benchmarks)
+---------------------------------------------
 
-``bench_propagation.py`` and ``bench_incremental_estimation.py`` compare the
-two CDCL engines and therefore need noise-robust *relative* timings, not the
-single pipeline run above.  The protocol, implemented in
-:mod:`repro.perf.workloads` and re-exported here:
+``bench_preprocessing.py``, ``bench_batching.py`` and
+``bench_tracing_overhead.py`` compare two implementations of the same work
+and therefore need noise-robust *relative* timings, not the single pipeline
+run above:
 
-* both engines run on **bit-identical inputs** in the same process;
-* engine rounds are **interleaved**, so CPU-frequency drift, thermal
-  throttling and cache effects hit both engines equally;
-* each engine reports its **best** round — microbenchmark noise is one-sided
+* both sides run on **bit-identical inputs** in the same process;
+* rounds are **interleaved**, so CPU-frequency drift, thermal throttling and
+  cache effects hit both sides equally;
+* each side reports its **best** round — microbenchmark noise is one-sided
   (interference only ever slows a run down), so the best round is the least
   contaminated estimate;
-* regression gating always compares the arena/legacy **speedup ratio**
-  (machine-independent), never absolute rates — see
-  :func:`repro.perf.compare_to_baseline` and the committed
-  ``benchmarks/BENCH_4.json`` baseline.
+* gates compare **ratios** (machine-independent), never absolute rates: a
+  BENCH_5 or BENCH_6 speedup must stay at or above :data:`RATIO_FLOOR` times
+  its value in the committed ``BENCH_*.json`` record (:func:`assert_ratio_holds`).
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from repro.perf import (  # noqa: F401  (re-exported timing protocol)
-    BenchProfile,
-    batch_family_differential,
-    batch_solve_workload,
-    batched_estimation_workload,
-    batched_xi_identical,
-    compare_to_baseline,
-    estimation_workload,
-    incremental_solve_workload,
-    load_baseline,
-    preprocessing_estimation_workload,
-    preprocessing_family_differential,
-    propagation_core_workload,
-    sharing_executor_differential,
-    sharing_portfolio_workload,
-    sweep_decompositions,
-)
-
-#: The committed perf baselines next to this module (see bench_propagation.py,
-#: bench_preprocessing.py, bench_batching.py and bench_portfolio_sharing.py).
-BENCH4_PATH = Path(__file__).resolve().parent / "BENCH_4.json"
-BENCH5_PATH = Path(__file__).resolve().parent / "BENCH_5.json"
-BENCH6_PATH = Path(__file__).resolve().parent / "BENCH_6.json"
-BENCH7_PATH = Path(__file__).resolve().parent / "BENCH_7.json"
+#: A re-measured speedup may fall at most 25 % below its committed value.
+RATIO_FLOOR = 0.75
 
 
-def load_bench4_baseline() -> dict | None:
-    """The committed ``BENCH_4.json`` record, or ``None`` before the first commit."""
-    if not BENCH4_PATH.exists():
-        return None
-    return load_baseline(BENCH4_PATH)
+def committed_record(bench: str) -> dict:
+    """The committed ``benchmarks/BENCH_<bench>.json`` record."""
+    return json.loads((Path(__file__).resolve().parent / f"BENCH_{bench}.json").read_text())
 
 
-def load_bench5_baseline() -> dict | None:
-    """The committed ``BENCH_5.json`` record, or ``None`` before the first commit."""
-    if not BENCH5_PATH.exists():
-        return None
-    return load_baseline(BENCH5_PATH, suite="preprocessing")
-
-
-def load_bench6_baseline() -> dict | None:
-    """The committed ``BENCH_6.json`` record, or ``None`` before the first commit."""
-    if not BENCH6_PATH.exists():
-        return None
-    return load_baseline(BENCH6_PATH, suite="batching")
-
-
-def load_bench7_baseline() -> dict | None:
-    """The committed ``BENCH_7.json`` record, or ``None`` before the first commit."""
-    if not BENCH7_PATH.exists():
-        return None
-    return load_baseline(BENCH7_PATH, suite="portfolio")
+def assert_ratio_holds(bench: str, workload: str, speedup: float) -> None:
+    """Fail when ``speedup`` falls below :data:`RATIO_FLOOR` of the committed ratio."""
+    committed = committed_record(bench)["workloads"][workload]["speedup"]
+    floor = RATIO_FLOOR * committed
+    assert speedup >= floor, (
+        f"{workload}: speedup x{speedup:.2f} fell below x{floor:.2f} "
+        f"(committed x{committed:.2f} in BENCH_{bench}.json)"
+    )
 
 
 # Benchmarks run the whole pipeline once; repeating it would only slow CI down.

@@ -1,45 +1,36 @@
 """Batching microbenchmark: word-parallel solve_batch vs scalar (BENCH_6).
 
-PR 7 added the bit-parallel assumption-batching engine
-(:meth:`repro.sat.cdcl.CDCLSolver.solve_batch`, :mod:`repro.sat.cdcl.batch`)
-and the zero-copy shared-memory worker protocol
-(:class:`repro.sat.cdcl.image.ArenaImage`).  This module is the continuous
-check that batching keeps paying — and stays *bit-identical* everywhere:
+This module is the continuous check that the bit-parallel assumption-batching
+engine (:meth:`repro.sat.cdcl.CDCLSolver.solve_batch`,
+:mod:`repro.sat.cdcl.batch`) and the zero-copy shared-memory worker protocol
+(:class:`repro.sat.cdcl.image.ArenaImage`) keep paying — and stay
+*bit-identical* everywhere:
 
 * **lockstep speedup** — the single-process word-parallel loop must stay
   decisively faster than the scalar fresh loop on the bivium-tiny d=10 sample
-  stream (the committed baseline records ~x5);
+  stream;
 * **scheduled speedup** — batched + zero-copy scheduled estimation must stay
-  faster than the scalar process-pool path at 4 cores (the PR acceptance bar
-  is >= 2x; the committed baseline records ~x4.7);
+  faster than the scalar process-pool path at 1, 4 and 16 cores;
+* every speedup must also stay at or above 0.75x its value in the committed
+  ``BENCH_6.json`` (``benchmarks/_common.py``);
 * **differential safety** — per-sample statuses and propagation costs must be
   identical between the batched and the scalar side, whole decomposition
   families must reach identical answers with verified models, and the folded
-  ξ statistics must be bit-identical;
-* the committed ``BENCH_6.json`` is the reference: the run fails when a
-  measured batched-vs-scalar speedup falls more than 25 % below any committed
-  workload ratio it re-measures (machine-independent ratios, see
-  ``benchmarks/_common.py``).
-
-The hard floors asserted here are deliberately lower than the committed
-ratios so slow, noisy CI machines do not flake.
+  ξ statistics must be bit-identical.
 """
 
 from __future__ import annotations
 
-from benchmarks._common import (
-    batch_family_differential,
-    batch_solve_workload,
-    batched_estimation_workload,
-    batched_xi_identical,
-    compare_to_baseline,
-    load_bench6_baseline,
-    print_table,
-    run_once,
-)
+import time
+
+import pytest
+
+from benchmarks._common import assert_ratio_holds, committed_record, print_table, run_once
 from repro.api.registry import get_cipher
+from repro.core.decomposition import DecompositionSet
 from repro.problems import make_inversion_instance
-from repro.runner.estimation import _sample_literals
+from repro.runner.estimation import _sample_literals, estimate_family_scheduled
+from repro.sat.cdcl import CDCLSolver
 
 SEED = 3
 SAMPLES = 200
@@ -50,75 +41,148 @@ def _bivium():
     return make_inversion_instance(get_cipher("bivium-tiny")(), seed=SEED)
 
 
+def batch_solve_workload(cnf, rows, rounds: int = 2) -> dict[str, object]:
+    """Word-parallel ``solve_batch`` vs the scalar fresh loop, single process.
+
+    Both sides solve exactly the same sampled assumption rows with fresh-solve
+    semantics: the scalar side re-loads per call (the estimator's fresh path),
+    the batched side loads once and runs the lockstep engine in
+    ``BATCH_SIZE`` chunks.  Interleaved best-of-``rounds`` samples/second.
+    """
+    best = {"scalar": 0.0, "batched": 0.0}
+    scalar_results = batched_results = None
+    for _ in range(rounds):
+        solver = CDCLSolver()
+        start = time.perf_counter()
+        scalar_results = [solver.solve(cnf, assumptions=list(row)) for row in rows]
+        best["scalar"] = max(best["scalar"], len(rows) / (time.perf_counter() - start))
+
+        solver = CDCLSolver().load(cnf)
+        start = time.perf_counter()
+        batched_results = []
+        for begin in range(0, len(rows), BATCH_SIZE):
+            batched_results.extend(solver.solve_batch(rows[begin : begin + BATCH_SIZE]))
+        best["batched"] = max(best["batched"], len(rows) / (time.perf_counter() - start))
+    return {
+        "scalar": best["scalar"],
+        "batched": best["batched"],
+        "speedup": best["batched"] / best["scalar"],
+        "statuses_agree": (
+            [r.status for r in scalar_results] == [r.status for r in batched_results]
+        ),
+        "costs_identical": (
+            [r.stats.propagations for r in scalar_results]
+            == [r.stats.propagations for r in batched_results]
+        ),
+    }
+
+
+def batched_estimation_workload(cnf, variables, cores: int, rounds: int = 2) -> dict[str, object]:
+    """Scheduled estimation samples/second: batched+zero-copy vs scalar pool.
+
+    Both sides run :func:`repro.runner.estimation.estimate_family_scheduled`
+    on a real ``cores``-worker process pool.  The scalar side ships one
+    sample per task with the CNF pickled into each worker; the batched side
+    ships ``BATCH_SIZE`` rows per task against one shared read-only
+    :class:`~repro.sat.cdcl.image.ArenaImage` segment.
+    """
+    best = {"scalar": float("inf"), "batched": float("inf")}
+    results = {}
+    for _ in range(rounds):
+        for side, batch_size in (("scalar", 1), ("batched", BATCH_SIZE)):
+            start = time.perf_counter()
+            results[side] = estimate_family_scheduled(
+                cnf, variables, sample_size=SAMPLES, seed=SEED,
+                executor="process-pool", processes=cores, batch_size=batch_size,
+            )
+            best[side] = min(best[side], time.perf_counter() - start)
+    scalar, batched = results["scalar"], results["batched"]
+    return {
+        "scalar": SAMPLES / best["scalar"],
+        "batched": SAMPLES / best["batched"],
+        "speedup": best["scalar"] / best["batched"],
+        "statuses_agree": scalar.statuses == batched.statuses,
+        "xi_identical": (
+            scalar.costs == batched.costs
+            and scalar.statistics.mean == batched.statistics.mean
+        ),
+    }
+
+
+def batch_family_differential(cnf, decomposition) -> dict[str, bool]:
+    """Solve a whole decomposition family batched vs scalar and compare.
+
+    Every sub-problem's SAT/UNSAT answer must be identical, and every model
+    the batch engine returns must satisfy the original formula.
+    """
+    rows = [
+        tuple(assignment.to_literals())
+        for assignment in DecompositionSet.of(decomposition).all_assignments()
+    ]
+    batched = CDCLSolver().load(cnf).solve_batch(rows)
+    scalar_solver = CDCLSolver()
+    answers_identical = True
+    models_verified = True
+    for row, batch_result in zip(rows, batched):
+        scalar_result = scalar_solver.solve(cnf, assumptions=list(row))
+        if scalar_result.status is not batch_result.status:
+            answers_identical = False
+        if batch_result.is_sat:
+            model = batch_result.model
+            full = {v: model.get(v, False) for v in range(1, cnf.num_vars + 1)}
+            if not cnf.is_satisfied_by(full):
+                models_verified = False
+    return {"answers_identical": answers_identical, "models_verified": models_verified}
+
+
 def test_lockstep_speedup_and_differential(benchmark):
     """The headline BENCH_6 workload: word-parallel beats the scalar fresh loop."""
     bivium = _bivium()
     decomposition = sorted(bivium.start_set[:10])
     rows = list(_sample_literals(decomposition, SAMPLES, SEED))
 
-    def run():
-        return batch_solve_workload(bivium.cnf, rows, BATCH_SIZE, rounds=2)
-
-    workload = run_once(benchmark, run)
+    workload = run_once(benchmark, lambda: batch_solve_workload(bivium.cnf, rows))
     print_table(
         "Word-parallel solve_batch vs scalar fresh loop (bivium-tiny d=10, N=200)",
         ["scalar samples/s", "batched samples/s", "speedup", "statuses agree"],
         [[
-            f"{workload['scalar']['samples_per_sec']:.0f}",
-            f"{workload['batched']['samples_per_sec']:.0f}",
+            f"{workload['scalar']:.0f}",
+            f"{workload['batched']:.0f}",
             f"x{workload['speedup']:.2f}",
             str(workload["statuses_agree"]),
         ]],
     )
-    # Bit-identity is a hard invariant; speed has a CI-noise-proof floor (the
-    # committed BENCH_6.json records the real ~x5).
     assert workload["statuses_agree"] is True
     assert workload["costs_identical"] is True
     assert workload["speedup"] >= 1.5
-
-    regressions = compare_to_baseline(
-        {"workloads": {"batch-solve/bivium-tiny-d10": workload}},
-        load_bench6_baseline() or {"workloads": {}},
-        tolerance=0.25,
-        require_all=False,
-    )
-    assert not regressions, "\n".join(regressions)
+    assert_ratio_holds("6", "batch-solve/bivium-tiny-d10", workload["speedup"])
 
 
-def test_scheduled_estimation_speedup_at_4_cores(benchmark):
+@pytest.mark.parametrize("cores", [1, 4, 16])
+def test_scheduled_estimation_speedup(benchmark, cores):
     """Batched + zero-copy scheduled estimation beats the scalar pool path."""
     bivium = _bivium()
     decomposition = sorted(bivium.start_set[:10])
 
-    def run():
-        return batched_estimation_workload(
-            bivium.cnf, decomposition, SAMPLES, SEED, BATCH_SIZE, cores=4, rounds=2
-        )
-
-    workload = run_once(benchmark, run)
+    workload = run_once(
+        benchmark, lambda: batched_estimation_workload(bivium.cnf, decomposition, cores)
+    )
     print_table(
-        "Batched vs scalar scheduled estimation (bivium-tiny d=10, 4 cores)",
+        f"Batched vs scalar scheduled estimation (bivium-tiny d=10, {cores} cores)",
         ["scalar samples/s", "batched samples/s", "speedup", "xi identical"],
         [[
-            f"{workload['scalar']['samples_per_sec']:.0f}",
-            f"{workload['batched']['samples_per_sec']:.0f}",
+            f"{workload['scalar']:.0f}",
+            f"{workload['batched']:.0f}",
             f"x{workload['speedup']:.2f}",
             str(workload["xi_identical"]),
         ]],
     )
     assert workload["statuses_agree"] is True
     assert workload["xi_identical"] is True
-    # The PR acceptance bar is 2x at 4 cores; the committed baseline holds
-    # ~x4.7, and the ratio gate below protects that number.
     assert workload["speedup"] >= 1.5
-
-    regressions = compare_to_baseline(
-        {"workloads": {"batch-estimation/bivium-tiny-d10-cores4": workload}},
-        load_bench6_baseline() or {"workloads": {}},
-        tolerance=0.25,
-        require_all=False,
+    assert_ratio_holds(
+        "6", f"batch-estimation/bivium-tiny-d10-cores{cores}", workload["speedup"]
     )
-    assert not regressions, "\n".join(regressions)
 
 
 def test_family_answers_and_models_unchanged(benchmark):
@@ -128,12 +192,8 @@ def test_family_answers_and_models_unchanged(benchmark):
 
     def run():
         return {
-            "geffe-tiny-d6": batch_family_differential(
-                geffe.cnf, list(geffe.start_set[:6])
-            ),
-            "bivium-tiny-d4": batch_family_differential(
-                bivium.cnf, list(bivium.start_set[:4])
-            ),
+            "geffe-tiny-d6": batch_family_differential(geffe.cnf, list(geffe.start_set[:6])),
+            "bivium-tiny-d4": batch_family_differential(bivium.cnf, list(bivium.start_set[:4])),
         }
 
     records = run_once(benchmark, run)
@@ -148,15 +208,24 @@ def test_xi_bit_identical_through_the_scheduler(benchmark):
     decomposition = sorted(bivium.start_set[:10])
 
     def run():
-        return batched_xi_identical(bivium.cnf, decomposition, SAMPLES, SEED, BATCH_SIZE)
+        return [
+            estimate_family_scheduled(
+                bivium.cnf, decomposition, sample_size=SAMPLES, seed=SEED,
+                batch_size=batch_size,
+            )
+            for batch_size in (1, BATCH_SIZE)
+        ]
 
-    assert run_once(benchmark, run) is True
+    scalar, batched = run_once(benchmark, run)
+    assert scalar.costs == batched.costs
+    assert scalar.statuses == batched.statuses
+    assert scalar.statistics.mean == batched.statistics.mean
+    assert scalar.statistics.estimate().half_width == batched.statistics.estimate().half_width
 
 
 def test_committed_baseline_meets_the_pr_targets():
     """The committed BENCH_6.json itself carries the acceptance evidence."""
-    baseline = load_bench6_baseline()
-    assert baseline is not None, "benchmarks/BENCH_6.json is missing"
+    baseline = committed_record("6")
     workloads = baseline["workloads"]
     # The acceptance bar: >= 2x samples/sec at 4 cores over the scalar
     # process-pool path, and every committed workload recorded identical

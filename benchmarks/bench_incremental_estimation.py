@@ -25,12 +25,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks._common import (
-    estimation_workload,
-    format_count,
-    print_table,
-    run_once,
-)
+from benchmarks._common import format_count, print_table, run_once
 from repro.api.specs import EstimatorSpec
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
@@ -99,32 +94,3 @@ def test_incremental_estimation_speedup(benchmark):
         obs.status for obs in baseline_result.observations
     ]
     assert speedup >= 2.0
-
-
-def test_arena_engine_end_to_end_speedup(benchmark):
-    """The flat-array arena core beats the pre-arena engine on the ξ workload.
-
-    This is PR 4's end-to-end acceptance check: the same incremental
-    estimation run (a51-tiny, d=8, N=100, sample cache off so every sample is
-    a real solve) executed by both CDCL engines under the interleaved
-    best-of-rounds timing protocol of ``benchmarks/_common.py``.  The
-    committed ``BENCH_4.json`` records ~x2.8; the floor asserted here is the
-    PR's ≥1.5x acceptance bar.
-    """
-    instance = make_inversion_instance(get_cipher(CIPHER)(), seed=SEED)
-    decomposition = list(instance.start_set[:DECOMPOSITION_SIZE])
-    workload = run_once(
-        benchmark,
-        lambda: estimation_workload(
-            instance.cnf, decomposition, SAMPLE_SIZE, seed=SEED, rounds=2
-        ),
-    )
-    print_table(
-        "End-to-end ξ estimation: arena vs legacy engine (a51-tiny, d=8, N=100)",
-        ["engine", "wall time", "speedup"],
-        [
-            ["arena", f"{workload['arena']['wall_time']:.3f}s", f"x{workload['speedup']:.2f}"],
-            ["legacy", f"{workload['legacy']['wall_time']:.3f}s", ""],
-        ],
-    )
-    assert workload["speedup"] >= 1.5

@@ -8,8 +8,9 @@ PR 7 threaded three ``# trace-hook`` tagged lines through the arena engine's
   build propagates bit-identical closures) is deterministic and lives in
   tier-1 (``tests/test_trace.py::TestDisabledTracingOverhead``);
 * the **wall-clock** half lives here, in the perf-smoke lane next to the
-  BENCH gates, because it asserts a timing *ratio* and therefore belongs with
-  the other load-sensitive checks rather than in the functional suite.
+  BENCH_5 and BENCH_6 timing checks, because it asserts a timing *ratio* and
+  therefore belongs with the other load-sensitive checks rather than in the
+  functional suite.
 
 The timing protocol matches ``benchmarks/_common.py``: both builds run on
 bit-identical assumption vectors in the same process, rounds are interleaved
@@ -24,12 +25,11 @@ import time
 
 from benchmarks._common import print_table
 from repro.api.registry import get_cipher
-from repro.perf.workloads import assumption_vectors
 from repro.problems import make_inversion_instance
 from repro.sat.cdcl import solver as solver_module
 from repro.sat.cdcl.solver import _ilit
 from repro.sat.solver import SolverBudget, SolverStats
-from tests.test_trace import make_stripped_solver_class
+from tests.test_trace import assumption_vectors, make_stripped_solver_class
 
 SEED = 3
 ROUNDS = 5
@@ -58,8 +58,8 @@ def _round_rate(solver_cls, cnf, vectors) -> float:
 
 
 def test_disabled_tracing_costs_at_most_five_percent(benchmark):
-    """BENCH_4-shaped propagation with hooks present-but-disabled vs a build
-    with the ``# trace-hook`` lines physically removed."""
+    """Isolated propagation with hooks present-but-disabled vs a build with
+    the ``# trace-hook`` lines physically removed."""
     StrippedSolver = make_stripped_solver_class()
     instance = make_inversion_instance(get_cipher("a51-tiny")(), seed=SEED)
     vectors = assumption_vectors(list(instance.start_set), 8, 250, seed=42)

@@ -50,11 +50,11 @@ def experiment_fingerprint(
     and — conditionally, mirroring the ``preprocessor`` pattern so historical
     checkpoints stay resumable — the preprocessor and solver specs.
 
-    The ``solver`` key is written only for non-default solver specs: the two
-    CDCL engines report incomparable per-sub-problem costs, so a checkpoint
-    written under ``cdcl-legacy`` must not silently resume under the arena
-    engine (and vice versa).  Default-spec checkpoints from before this key
-    existed keep resuming under the default spec unchanged.
+    The ``solver`` key is written only for non-default solver specs: solvers
+    with different names or options report incomparable per-sub-problem
+    costs, so a checkpoint written under one spec must not silently resume
+    under another.  Default-spec checkpoints from before this key existed
+    keep resuming under the default spec unchanged.
     """
     fingerprint: dict[str, Any] = {
         "instance": config.instance.to_dict(),

@@ -30,6 +30,7 @@ it safe to use from low-level modules such as :mod:`repro.sat.solver`.
 from __future__ import annotations
 
 import importlib
+import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -60,7 +61,6 @@ class RegistryEntry:
 _BUILTIN_MODULES = (
     "repro.ciphers",
     "repro.sat.cdcl.solver",
-    "repro.sat.cdcl.legacy",
     "repro.sat.dpll",
     "repro.sat.walksat",
     "repro.sat.lookahead",
@@ -76,29 +76,42 @@ _BUILTIN_MODULES = (
     "repro.portfolio.portfolio",
 )
 
-_builtins_loaded = False
+class _ModuleLoader:
+    """Imports a fixed list of registering modules once, safely across threads.
+
+    ``loaded`` is set only after every import has finished, so another
+    thread never sees a half-filled registry: it waits on the lock instead.
+    Lookups made by the importing thread itself while the imports run (a
+    module that queries a registry at import time) return at once and see
+    the registries as filled so far.
+    """
+
+    def __init__(self, *modules: str) -> None:
+        self.modules = modules
+        self.loaded = False
+        self._loading = False
+        self._lock = threading.RLock()
+
+    def __call__(self) -> None:
+        if self.loaded:
+            return
+        with self._lock:
+            if self.loaded or self._loading:
+                return
+            self._loading = True
+            try:
+                for module in self.modules:
+                    importlib.import_module(module)
+                self.loaded = True
+            finally:
+                self._loading = False
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register the library's built-in components."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True  # set first: the imports below hit the registries
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
+#: Import the modules that register the library's built-in components.
+_ensure_builtins = _ModuleLoader(*_BUILTIN_MODULES)
 
-
-_measures_loaded = False
-
-
-def _ensure_measures() -> None:
-    """Import the module that registers the built-in cost measures."""
-    global _measures_loaded
-    if _measures_loaded:
-        return
-    _measures_loaded = True
-    importlib.import_module("repro.api.measures")
+#: Import the module that registers the built-in cost measures.
+_ensure_measures = _ModuleLoader("repro.api.measures")
 
 
 @dataclass

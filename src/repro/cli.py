@@ -16,17 +16,7 @@ Sub-commands:
   decomposition set through a chosen execution backend;
 * ``run``       — execute a full experiment described by a JSON config file;
 * ``bench``     — benchmark the batched Monte Carlo estimation engine against
-  the per-sample baseline and write a ``BENCH_*.json`` trajectory file; with
-  ``--compare-baseline`` it instead runs a perf suite (:mod:`repro.perf`) and
-  fails on a >25% speedup-ratio regression against its committed baseline:
-  ``--suite propagation`` gates the arena-vs-legacy propagation core against
-  ``benchmarks/BENCH_4.json``, ``--suite preprocessing`` gates the
-  simplified-vs-raw estimation speedup against ``benchmarks/BENCH_5.json``,
-  ``--suite batching`` gates the word-parallel ``solve_batch`` engine and the
-  zero-copy shared-memory worker protocol against ``benchmarks/BENCH_6.json``,
-  ``--suite portfolio`` gates the clause-sharing portfolio's deterministic
-  virtual wall-clock against ``benchmarks/BENCH_7.json``
-  (``--update-baseline`` refreshes the selected file);
+  the per-sample baseline and write a ``BENCH_*.json`` trajectory file;
 * ``simplify``  — apply the SatELite-style preprocessor to a cipher instance
   or to any DIMACS file (``--input``), with per-rule reduction stats and
   frozen-variable support;
@@ -61,11 +51,6 @@ Examples::
     repro-sat run --config exp.json --output result.json
     repro-sat run --config exp.json --backend process-pool --cores 4 --resume run.ckpt
     repro-sat bench --cipher a51-tiny --seed 3 --decomposition-size 8 --sample-size 100
-    repro-sat bench --compare-baseline
-    repro-sat bench --suite preprocessing --compare-baseline
-    repro-sat bench --suite batching --compare-baseline
-    repro-sat bench --suite portfolio --compare-baseline
-    repro-sat bench --perf-profile full --update-baseline
     repro-sat portfolio --cipher bivium-tiny --seed 1 --sharing --portfolio tiny-4
     repro-sat simplify --cipher bivium-tiny --seed 1
     repro-sat simplify --input hard.cnf --frozen 1,2,3 --output hard.simplified.cnf
@@ -410,180 +395,9 @@ def _default_checkpoints(sample_size: int) -> list[int]:
     return marks
 
 
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    """Run a perf suite; gate against / refresh its committed ``BENCH_*.json``.
-
-    ``--suite propagation`` (the default) measures the arena-vs-legacy
-    propagation core against ``BENCH_4.json``; ``--suite preprocessing``
-    measures simplified-vs-raw estimation against ``BENCH_5.json``;
-    ``--suite batching`` measures the word-parallel ``solve_batch`` engine and
-    the zero-copy shared-memory worker protocol against ``BENCH_6.json``.
-    """
-    from repro.perf import (
-        SUITE_RUNNERS,
-        SUITES,
-        BenchProfile,
-        compare_to_baseline,
-        default_baseline_path,
-        differential_failures,
-        format_comparison,
-        load_baseline,
-        write_baseline,
-    )
-
-    suite = args.suite
-    if suite not in SUITES or suite not in SUITE_RUNNERS:
-        raise SystemExit(
-            f"unknown perf suite {suite!r}; available suites: "
-            + ", ".join(sorted(SUITES))
-        )
-    # Resolve the runner through the package namespace (not the function
-    # object captured in SUITE_RUNNERS) so monkeypatching repro.perf.run_*
-    # still swaps the implementation.
-    import repro.perf as _perf
-
-    runner = getattr(_perf, SUITE_RUNNERS[suite].__name__, SUITE_RUNNERS[suite])
-    profile = BenchProfile.full() if args.perf_profile == "full" else BenchProfile.smoke()
-    # Validate the cheap preconditions before the multi-second suite runs.
-    if args.update_baseline is not None and profile.name != "full":
-        # The committed baseline is the reference measurement, so it must be
-        # produced by the full protocol (largest workloads, most rounds);
-        # gate runs may use the cheaper smoke profile because the ratio
-        # comparison carries a tolerance that absorbs the residual
-        # profile sensitivity.
-        raise SystemExit(
-            "--update-baseline requires --perf-profile full (the committed "
-            "baseline must hold the full measurement protocol's numbers)"
-        )
-    if not 0 <= args.tolerance < 1:
-        raise SystemExit("--tolerance must lie in [0, 1)")
-    # Resolve and validate the comparison baseline up front: a typo'd path
-    # must not cost a full suite run before failing.
-    baseline = None
-    if args.compare_baseline is not None:
-        path = (
-            Path(args.compare_baseline)
-            if args.compare_baseline
-            else default_baseline_path(suite)
-        )
-        if not path.exists():
-            raise SystemExit(f"perf baseline not found: {path}")
-        try:
-            baseline = load_baseline(path, suite=suite)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-    print(f"running {suite} perf suite ({profile.name} profile) ...")
-    record = runner(profile, seed=args.seed, progress=lambda m: print(f"  {m}"))
-    # Soundness before speed: falsified differential evidence (per-sample
-    # status disagreement, family answers, model verification) fails the run
-    # outright — no tolerance applies, and no baseline gets (over)written.
-    broken = differential_failures(record)
-    if broken:
-        for failure in broken:
-            print(f"DIFFERENTIAL FAILURE: {failure}")
-        if args.update_baseline is not None:
-            print("baseline NOT updated (differential failures above)")
-        return 1
-    if baseline is None and args.update_baseline is None:
-        for name, workload in sorted(record["workloads"].items()):
-            speedup = workload.get("speedup")
-            print(f"  {name:48s} x{speedup:.2f}" if speedup else f"  {name}")
-
-    # The gate runs against the *pre-existing* baseline (loaded before any
-    # write), so combining --compare-baseline with --update-baseline cannot
-    # compare the fresh record against itself — and a detected regression
-    # blocks the update instead of silently replacing the only good baseline.
-    if baseline is not None:
-        print()
-        print(format_comparison(record, baseline))
-        regressions = compare_to_baseline(record, baseline, tolerance=args.tolerance)
-        if regressions:
-            print()
-            for regression in regressions:
-                print(f"REGRESSION: {regression}")
-            if getattr(args, "explain", False):
-                print()
-                _explain_regressions(regressions, seed=args.seed)
-            if args.update_baseline is not None:
-                print("baseline NOT updated (regressions above)")
-            return 1
-        print(f"\nno perf regressions (tolerance {args.tolerance:.0%}) vs {path}")
-
-    if args.update_baseline is not None:
-        path = (
-            Path(args.update_baseline)
-            if args.update_baseline
-            else default_baseline_path(suite)
-        )
-        write_baseline(record, path)
-        print(f"wrote perf baseline to {path}")
-    return 0
-
-
-def _explain_regressions(regressions: list[str], seed: int) -> None:
-    """Record arena-vs-legacy traces for each regressed workload and diff them.
-
-    Every regressed workload names its cipher instance
-    (``propagation-core/a51-tiny-d8`` → ``a51-tiny``); for each distinct
-    instance the two engines re-solve it under a small conflict budget with
-    tracing on, and the trace diff pinpoints where the trajectories part —
-    turning "the ratio dropped" into an inspectable event-level divergence.
-    """
-    import re
-    import tempfile
-
-    from repro.problems import make_inversion_instance
-    from repro.sat.solver import SolverBudget
-    from repro.trace import diff_traces, format_diff, record_solve
-
-    ciphers: list[str] = []
-    for regression in regressions:
-        workload = regression.split(":", 1)[0]
-        if "/" not in workload:
-            continue
-        target = workload.split("/", 1)[1]
-        # Batching workloads suffix the core count (…-d10-cores4).
-        target = re.sub(r"-cores\d+$", "", target)
-        head, sep, tail = target.rpartition("-d")
-        cipher = head if sep and tail.isdigit() else target
-        if cipher not in ciphers:
-            ciphers.append(cipher)
-    if not ciphers:
-        print("--explain: no workload names in the regressions to trace")
-        return
-    out_dir = Path(tempfile.mkdtemp(prefix="repro-trace-explain-"))
-    budget = SolverBudget(max_conflicts=2000)
-    for cipher in ciphers:
-        try:
-            instance = make_inversion_instance(get_cipher(cipher)(), seed=seed)
-        except UnknownNameError:
-            print(f"--explain: {cipher!r} is not a registered cipher, skipping")
-            continue
-        arena_path = out_dir / f"{cipher}.arena.trc"
-        legacy_path = out_dir / f"{cipher}.legacy.trc"
-        record_solve(instance.cnf, arena_path, solver="cdcl", budget=budget)
-        record_solve(instance.cnf, legacy_path, solver="cdcl-legacy", budget=budget)
-        print(f"--explain traces for {cipher} (budget {budget.max_conflicts} conflicts):")
-        print(f"  arena:  {arena_path}")
-        print(f"  legacy: {legacy_path}")
-        diff = diff_traces(arena_path, legacy_path)
-        print(format_diff(diff, label_a="arena", label_b="legacy"))
-        print()
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark the batched estimation engine and emit a ``BENCH_*.json`` file."""
     import dataclasses
-
-    if (
-        args.compare_baseline is not None
-        or args.update_baseline is not None
-        or args.suite != "propagation"
-    ):
-        # The perf suites (propagation core vs BENCH_4, preprocessing vs
-        # BENCH_5) share the gate/update machinery; a non-default --suite
-        # without baseline flags still runs the suite and prints its record.
-        return _cmd_perf_bench(args)
 
     from repro.sat.solver import SolverStatus
     from repro.stats.montecarlo import estimate_trajectory
@@ -1373,62 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--output-dir", default=".", help="directory for the BENCH_*.json file"
     )
-    bench.add_argument(
-        "--suite",
-        default="propagation",
-        metavar="NAME",
-        help=(
-            "perf suite for --compare-baseline/--update-baseline, enumerated "
-            "from the suite registry (repro.perf.SUITES): 'propagation' gates "
-            "the arena-vs-legacy core against BENCH_4.json, 'preprocessing' "
-            "gates the CNF preprocessing subsystem against BENCH_5.json, "
-            "'batching' gates the word-parallel solve_batch engine and the "
-            "zero-copy shared-memory worker protocol against BENCH_6.json, "
-            "'portfolio' gates the clause-sharing portfolio's virtual "
-            "wall-clock against BENCH_7.json; an "
-            "unknown name fails listing the available suites"
-        ),
-    )
-    bench.add_argument(
-        "--explain",
-        action="store_true",
-        help=(
-            "on a perf-gate failure, record arena-vs-legacy event traces for "
-            "each regressed workload's instance and print their trace diff"
-        ),
-    )
-    bench.add_argument(
-        "--compare-baseline",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help=(
-            "run the selected perf suite instead and fail on a >25%% "
-            "speedup-ratio regression against its committed "
-            "benchmarks/BENCH_*.json (or PATH)"
-        ),
-    )
-    bench.add_argument(
-        "--update-baseline",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="run the propagation-core perf suite and (re)write the baseline file",
-    )
-    bench.add_argument(
-        "--perf-profile",
-        choices=("smoke", "full"),
-        default="smoke",
-        help="workload sizes for the perf suite (full = the committed baseline sizes)",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed relative speedup drop before --compare-baseline fails",
-    )
     bench.set_defaults(func=_cmd_bench)
 
     simplify = sub.add_parser("simplify", help="preprocess an instance (SatELite-style)")
@@ -1583,7 +1341,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_record.add_argument(
         "--solver",
         default="cdcl",
-        help="solver registry name for --mode solve (cdcl, cdcl-legacy, ...)",
+        help="solver registry name for --mode solve (cdcl, dpll, ...)",
     )
     trace_record.add_argument(
         "--max-conflicts",

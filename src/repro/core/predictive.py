@@ -65,15 +65,10 @@ evaluation; over-budget samples count with the cost accumulated so far and are
 flagged UNKNOWN, making the estimate a lower bound.
 
 The default solver behind all of this is the flat-array arena engine of
-:mod:`repro.sat.cdcl.solver` (PR 4): the per-sample assumption solves run
-through a clause arena with static binary/ternary watcher tuples at ~3x the
-propagation throughput of the previous engine.  That engine survives as
-``"cdcl-legacy"`` in the solver registry — pass
-``solver=LegacyCDCLSolver()`` (or ``SolverSpec(name="cdcl-legacy")`` at the
-API layer) to reproduce pre-arena cost counters; decided statuses are
-engine-independent, per-sample *costs* are not, because the engines learn
-different clauses.  ``benchmarks/BENCH_4.json`` records the measured gap and
-CI gates against regressions (see :mod:`repro.perf`).
+:mod:`repro.sat.cdcl.solver`: the per-sample assumption solves run through a
+clause arena with static binary/ternary watcher tuples.  Decided statuses do
+not depend on the solver or its configuration; per-sample *costs* do, because
+differently configured solvers learn different clauses.
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ instances:
   solver configuration (restart policy, decision phase, decay, branching
   order);
 * :class:`repro.portfolio.portfolio.PortfolioSolver` — runs every configuration
-  on the whole instance (optionally with round-robin time-slicing charged in
-  deterministic cost-measure units, the sequential simulation of a parallel
-  portfolio) and reports which configuration finishes first;
+  on the whole instance and reports which configuration finishes first;
 * :class:`repro.portfolio.sharing.SharingPortfolioSolver` — the clause-sharing
-  half of the paper's contrast (HordeSat-style): members export/import learned
+  half of the paper's contrast (HordeSat-style): members run round-robin
+  slices charged in deterministic cost-measure units, export/import learned
   clauses through the seeded, virtual-round-stamped
   :class:`repro.portfolio.exchange.ClauseExchange` bus and periodically
-  inprocess their databases, all bit-for-bit replayable;
+  inprocess their databases, all bit-for-bit replayable; with
+  ``SharingPolicy(per_round=0)`` nothing is exchanged and it is the isolated
+  sliced race;
 * :func:`repro.portfolio.portfolio.compare_with_partitioning` — the head-to-head
   experiment used by ``bench_portfolio_vs_partitioning.py``: wall-clock of the
   virtual portfolio versus the makespan of a decomposition family on the same

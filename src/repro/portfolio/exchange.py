@@ -42,6 +42,8 @@ class SharingPolicy:
     clauses one member may export per virtual round (the best ones win —
     candidates are ranked by ``(lbd, size, literals)``, the canonical order
     of :meth:`~repro.sat.cdcl.CDCLSolver.exportable_clauses`).
+    ``per_round=0`` exports nothing: the members race in isolation under
+    the same slicing, the baseline sharing is measured against.
     """
 
     max_lbd: int = 4
@@ -53,8 +55,8 @@ class SharingPolicy:
             raise ValueError("max_lbd must be at least 1")
         if self.max_size < 1:
             raise ValueError("max_size must be at least 1")
-        if self.per_round < 1:
-            raise ValueError("per_round must be at least 1")
+        if self.per_round < 0:
+            raise ValueError("per_round must be non-negative")
 
 
 @dataclass

@@ -30,8 +30,9 @@ from repro.sat.solver import SolveResult, SolverBudget, SolverStatus
 
 #: Cost measure -> the :class:`SolverBudget` field that charges it.  Only
 #: deterministic work counters appear here: slicing by ``max_seconds`` would
-#: make the virtual-portfolio simulation machine-dependent (the latent flake
-#: the BENCH_7 gate must not inherit), so wall-clock measures are rejected.
+#: make the virtual-portfolio simulation machine-dependent (and the exact
+#: sharing-vs-isolated counts in the tests flaky), so wall-clock measures are
+#: rejected.
 _SLICEABLE_MEASURES = {
     "conflicts": "max_conflicts",
     "decisions": "max_decisions",
@@ -42,7 +43,7 @@ _SLICEABLE_MEASURES = {
 def slice_budget_for(cost_measure: str, units: int) -> SolverBudget:
     """A per-slice :class:`SolverBudget` of ``units`` cost-measure units.
 
-    The round-robin time-slicing of the (sharing) portfolio charges each
+    The round-robin time-slicing of the sharing portfolio charges each
     member's virtual round in the *cost measure* — deterministic solver work
     counters — never in wall-clock seconds, so a sliced run is bit-identical
     across machines.  Measures without a matching deterministic budget field
@@ -160,13 +161,9 @@ class PortfolioSolver:
     members on a thread pool — results are folded in member order either way,
     so the reported portfolio is independent of the execution interleaving.
 
-    With ``slice_budget`` set, each member runs *round-robin time-slicing*
-    instead of one uninterrupted call: repeated incremental ``solve`` slices,
-    each charged ``slice_budget`` **cost-measure units** (never wall-clock —
-    see :func:`slice_budget_for`), up to ``max_rounds`` slices.  This is the
-    isolated twin of the sliced simulation in
-    :mod:`repro.portfolio.sharing`, and the fair baseline the BENCH_7 suite
-    compares clause sharing against: identical slicing, no exchange.
+    The sliced isolated race — the baseline clause sharing is measured
+    against — is :class:`~repro.portfolio.sharing.SharingPortfolioSolver`
+    with ``SharingPolicy(per_round=0)``: identical slicing, no exchange.
     """
 
     def __init__(
@@ -174,8 +171,6 @@ class PortfolioSolver:
         configurations: Sequence[SolverConfiguration] | None = None,
         cost_measure: str = "propagations",
         threads: int | None = None,
-        slice_budget: int | None = None,
-        max_rounds: int = 32,
     ):
         self.configurations = (
             default_portfolio() if configurations is None else list(configurations)
@@ -184,16 +179,8 @@ class PortfolioSolver:
             raise ValueError("a portfolio needs at least one configuration")
         if threads is not None and threads < 1:
             raise ValueError("threads must be at least 1")
-        if slice_budget is not None:
-            # Validate both the amount and that the measure is sliceable in
-            # deterministic units before any solver work starts.
-            slice_budget_for(cost_measure, slice_budget)
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
         self.cost_measure = cost_measure
         self.threads = threads
-        self.slice_budget = slice_budget
-        self.max_rounds = max_rounds
 
     def solve(
         self,
@@ -220,30 +207,14 @@ class PortfolioSolver:
 
         def race_member(member_id: str) -> PortfolioMemberRun:
             configuration = members[member_id]
-            solver = configuration.build_solver()
-            if self.slice_budget is None:
-                result = solver.solve(cnf, assumptions=literals, budget=budget)
-                return PortfolioMemberRun(
-                    configuration=configuration,
-                    result=result,
-                    cost=result.stats.cost(self.cost_measure),
-                )
-            # Round-robin time-slicing, charged in deterministic cost-measure
-            # units (never wall-clock): the sequential simulation of a
-            # preempted parallel member, bit-identical across machines.
-            solver.load(cnf, frozen=frozenset(abs(lit) for lit in literals))
-            cost = 0.0
-            result = None
-            for _ in range(self.max_rounds):
-                result = solver.solve(
-                    None,
-                    assumptions=literals,
-                    budget=slice_budget_for(self.cost_measure, self.slice_budget),
-                )
-                cost += result.stats.cost(self.cost_measure)
-                if result.is_decided:
-                    break
-            return PortfolioMemberRun(configuration=configuration, result=result, cost=cost)
+            result = configuration.build_solver().solve(
+                cnf, assumptions=literals, budget=budget
+            )
+            return PortfolioMemberRun(
+                configuration=configuration,
+                result=result,
+                cost=result.stats.cost(self.cost_measure),
+            )
 
         graph = TaskGraph(Task(task_id=member_id, payload=member_id) for member_id in members)
         executor = (

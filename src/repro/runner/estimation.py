@@ -22,13 +22,11 @@ with injected worker crashes, stragglers and duplicated results — and a run
 interrupted mid-trajectory resumes from its checkpoint to the same statistics
 it would have produced uninterrupted.
 
-Each sample task solves with the registry's default ``"cdcl"`` solver — since
-PR 4 the flat-array arena engine (:mod:`repro.sat.cdcl.solver`), whose ~3x
-propagation throughput is a CI-gated invariant (:mod:`repro.perf`,
-``benchmarks/BENCH_4.json``).  Statuses — and therefore these statistics with
-a status-independent cost measure and no per-sample budget — are
-engine-independent; pinned cost sequences are per-engine (the frozen
-``"cdcl-legacy"`` engine reproduces the pre-arena numbers).
+Each sample task solves with the registry's default ``"cdcl"`` solver, the
+flat-array arena engine of :mod:`repro.sat.cdcl.solver`.  Statuses — and
+therefore these statistics with a status-independent cost measure and no
+per-sample budget — are solver-independent; pinned cost sequences hold for
+one solver configuration only.
 """
 
 from __future__ import annotations

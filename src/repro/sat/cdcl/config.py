@@ -1,11 +1,8 @@
-"""Tunable parameters shared by both CDCL engines (arena and legacy).
+"""Tunable parameters of the CDCL solver.
 
 The defaults mirror MiniSat 2.2.  They are exposed mainly for the ablation
 benchmarks and the diversified portfolio; the partitioning experiments use the
-defaults throughout.  Both :class:`~repro.sat.cdcl.solver.CDCLSolver` (the
-flat-array arena engine) and :class:`~repro.sat.cdcl.legacy.LegacyCDCLSolver`
-(the frozen pre-arena reference) accept the same config object, so a portfolio
-member or an experiment spec is engine-agnostic.
+defaults throughout.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ class CDCLConfig:
     #: Learned clauses with an LBD (literal block distance — number of distinct
     #: decision levels among the clause's literals at learning time) at or
     #: below this value are "glue" clauses: the arena engine's database
-    #: reduction never deletes them.  Ignored by the legacy engine, whose
-    #: reduction is purely activity-ordered.
+    #: reduction never deletes them.
     glue_lbd: int = 2
     #: Run the SatELite-style preprocessor (:class:`repro.sat.simplify.Preprocessor`)
     #: inside :meth:`~repro.sat.cdcl.solver.CDCLSolver.load`: the internal
@@ -41,7 +37,7 @@ class CDCLConfig:
     #: simplified formula's solver counters define a *different* ξ random
     #: variable than the paper's, and on some instances eliminating
     #: propagation-relay variables slows the incremental engine down (see
-    #: ``docs/preprocessing.md``).  Ignored by the frozen legacy engine.
+    #: ``docs/preprocessing.md``).
     simplify: bool = False
     #: Use the word-parallel lockstep root-propagation engine inside
     #: :meth:`~repro.sat.cdcl.solver.CDCLSolver.solve_batch`: assumption

@@ -31,10 +31,9 @@ in **flat arrays** instead of Python objects:
 The engine is deliberately free of any randomisation so that repeated runs on
 the same input produce identical work counters — the property the paper
 requires of the algorithm ``A`` whose runtime defines the random variable
-``ξ_{C,A}(X̃)``.  The pre-arena engine is preserved verbatim as
-:class:`~repro.sat.cdcl.legacy.LegacyCDCLSolver` ("cdcl-legacy" in the solver
-registry); the differential fuzz suite checks both engines reach identical
-verdicts, and :mod:`repro.perf` measures the arena engine's speedup against it.
+``ξ_{C,A}(X̃)``.  The differential fuzz suite checks its verdicts against
+the reference DPLL solver, and the repository benchmark (``perfbench/``)
+guards its end-to-end speed.
 
 One-shot usage (fresh solver state per call, the historical behaviour)::
 

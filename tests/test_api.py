@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     BackendSpec,
     Experiment,
@@ -98,6 +104,44 @@ class TestRegistry:
         assert callable(get_partitioner("scattering"))
         backend = get_backend("serial")()
         assert backend.name == "serial"
+
+    def test_lookup_waits_for_builtins_another_thread_is_loading(self):
+        # A fresh interpreter, so the built-ins are not loaded yet.  The first
+        # built-in import is slowed down; a lookup from a second thread meanwhile
+        # must wait for the registries to fill, not see them empty.
+        script = textwrap.dedent(
+            """
+            import importlib, threading, time
+            from repro.api import registry
+
+            real_import = importlib.import_module
+            started = threading.Event()
+
+            def slow_import(name, package=None):
+                if not started.is_set():
+                    started.set()
+                    time.sleep(0.5)
+                return real_import(name, package)
+
+            importlib.import_module = slow_import
+            loader = threading.Thread(target=registry.list_ciphers)
+            loader.start()
+            assert started.wait(10)
+            print(registry.get_backend("serial")().name)
+            loader.join(10)
+            assert not loader.is_alive()
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["serial"]
 
 
 class TestCostMeasures:
@@ -379,6 +423,11 @@ class TestCliExperimentCommands:
         assert "sub-problems" in capsys.readouterr().out
 
 
+#: A non-default solver spec: same solver, different restart schedule, so
+#: different per-sub-problem costs.
+TUNED_SOLVER = SolverSpec(name="cdcl", options={"restart_base": 32})
+
+
 class TestCheckpointResumeFlow:
     """The --resume flag and the checkpoint_path config field, end to end."""
 
@@ -427,20 +476,21 @@ class TestCheckpointResumeFlow:
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
     def test_checkpoint_from_other_solver_spec_is_rejected(self, tmp_path):
-        """A checkpoint written under ``cdcl-legacy`` must not silently resume
-        under the arena engine: their per-sub-problem costs are incomparable."""
-        path = tmp_path / "legacy.ckpt"
-        legacy_cfg = self._config(
+        """A checkpoint written under a non-default solver spec must not
+        silently resume under the default: their per-sub-problem costs are
+        incomparable."""
+        path = tmp_path / "tuned.ckpt"
+        tuned_cfg = self._config(
             tmp_path,
             checkpoint_path=str(path),
-            solver=SolverSpec(name="cdcl-legacy"),
+            solver=TUNED_SOLVER,
         )
-        Experiment.from_config(legacy_cfg).solve()
+        Experiment.from_config(tuned_cfg).solve()
         assert path.exists()
 
-        arena_cfg = self._config(tmp_path, checkpoint_path=str(path))
+        default_cfg = self._config(tmp_path, checkpoint_path=str(path))
         with pytest.raises(ValueError, match="belongs to a different experiment"):
-            Experiment.from_config(arena_cfg).solve()
+            Experiment.from_config(default_cfg).solve()
 
     def test_default_solver_checkpoint_has_no_solver_key(self, tmp_path):
         """Backward compatibility: default-spec runs omit the ``solver`` key,
@@ -464,11 +514,11 @@ class TestCheckpointResumeFlow:
         from repro.api import experiment_fingerprint
 
         base = self._config(None)
-        legacy = self._config(None, solver=SolverSpec(name="cdcl-legacy"))
+        tuned = self._config(None, solver=TUNED_SOLVER)
         assert "solver" not in experiment_fingerprint(base, base.decomposition)
-        stamp = experiment_fingerprint(legacy, legacy.decomposition)
-        assert stamp["solver"] == SolverSpec(name="cdcl-legacy").to_dict()
-        assert stamp["decomposition"] == sorted(legacy.decomposition)
+        stamp = experiment_fingerprint(tuned, tuned.decomposition)
+        assert stamp["solver"] == TUNED_SOLVER.to_dict()
+        assert stamp["decomposition"] == sorted(tuned.decomposition)
 
     def test_run_cli_resume_flag(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,7 +1,7 @@
 """Unit tests for the flat-array arena internals of :class:`CDCLSolver`.
 
-The differential fuzz suite establishes that the arena engine and the legacy
-engine reach identical verdicts; this module tests the arena-specific
+The differential fuzz suite establishes that the arena engine reaches the
+reference DPLL solver's verdicts; this module tests the arena-specific
 machinery directly: LBD-aware learned-clause reduction, phase saving, the
 pinned-false binary sentinel, the clause-arena garbage collector and the
 array-indexed watcher layout.
@@ -10,8 +10,9 @@ array-indexed watcher layout.
 from __future__ import annotations
 
 from repro.api.registry import get_solver
-from repro.sat.cdcl import CDCLConfig, CDCLSolver, LegacyCDCLSolver
+from repro.sat.cdcl import CDCLConfig, CDCLSolver
 from repro.sat.cdcl.solver import _FALSE, _elit, _ilit
+from repro.sat.dpll import DPLLSolver
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import pigeonhole, random_ksat
 from repro.sat.solver import SolverStats, SolverStatus, check_model
@@ -185,11 +186,11 @@ class TestGarbageCollection:
     def test_incremental_calls_survive_gc(self):
         cnf = random_ksat(40, 170, k=3, seed=3)
         solver = CDCLSolver(CDCLConfig(learntsize_factor=0.01)).load(cnf)
-        legacy = LegacyCDCLSolver().load(cnf)
+        reference = DPLLSolver()
         for assumptions in ([1, -2], [3, 4], [-1], [], [5, -6, 7]):
             arena_result = solver.solve(assumptions=assumptions)
-            legacy_result = legacy.solve(assumptions=assumptions)
-            assert arena_result.status == legacy_result.status
+            reference_result = reference.solve(cnf, assumptions=assumptions)
+            assert arena_result.status == reference_result.status
 
 
 class TestWatcherLayout:
@@ -245,13 +246,6 @@ class TestEngineRegistry:
     def test_default_engine_is_the_arena(self):
         assert isinstance(get_solver("cdcl")(), CDCLSolver)
 
-    def test_legacy_engine_is_registered(self):
-        solver = get_solver("cdcl-legacy")()
-        assert isinstance(solver, LegacyCDCLSolver)
-        assert solver.solve(CNF([(1,), (-1,)])).is_unsat
-
     def test_both_factories_accept_config_options(self):
         arena = get_solver("cdcl")(restart_base=32)
-        legacy = get_solver("cdcl-legacy")(restart_base=32)
         assert arena.config.restart_base == 32
-        assert legacy.config.restart_base == 32

@@ -262,109 +262,6 @@ class TestNewCommands:
             )
 
 
-class TestPerfBenchCLI:
-    """The bench --compare-baseline / --update-baseline perf-gate paths.
-
-    The real suite runs for seconds, so these tests monkeypatch
-    ``repro.perf.run_bench4`` with a canned record and exercise the gate
-    wiring: baseline writing, ratio comparison, exit codes and tolerance.
-    """
-
-    @staticmethod
-    def _record(speedup: float) -> dict:
-        return {
-            "kind": "propagation-core-bench",
-            "bench_id": 4,
-            "schema": 1,
-            "profile": "smoke",
-            "seed": 3,
-            "engines": {"arena": "cdcl", "legacy": "cdcl-legacy"},
-            "workloads": {"propagation-core/a51-tiny-d8": {"speedup": speedup}},
-        }
-
-    @pytest.fixture
-    def canned_suite(self, monkeypatch):
-        import repro.perf as perf
-
-        def fake_run_bench4(profile, seed=3, progress=None):
-            return self._record(3.0)
-
-        monkeypatch.setattr(perf, "run_bench4", fake_run_bench4)
-
-    def test_update_baseline_writes_the_file(self, canned_suite, tmp_path, capsys):
-        path = tmp_path / "BENCH_4.json"
-        assert main(["bench", "--perf-profile", "full", "--update-baseline", str(path)]) == 0
-        assert path.exists()
-        assert "wrote perf baseline" in capsys.readouterr().out
-
-    def test_update_baseline_refuses_the_smoke_profile(self, canned_suite, tmp_path):
-        # A smoke-profile baseline would skew later gate runs (some workload
-        # ratios shift with workload size), so writing one must be an error.
-        path = tmp_path / "BENCH_4.json"
-        with pytest.raises(SystemExit, match="perf-profile full"):
-            main(["bench", "--update-baseline", str(path)])
-        assert not path.exists()
-
-    def test_compare_baseline_passes_within_tolerance(self, canned_suite, tmp_path, capsys):
-        from repro.perf import write_baseline
-
-        path = tmp_path / "BENCH_4.json"
-        write_baseline(self._record(3.2), path)  # 3.0 measured vs 3.2 committed
-        assert main(["bench", "--compare-baseline", str(path)]) == 0
-        assert "no perf regressions" in capsys.readouterr().out
-
-    def test_compare_baseline_fails_on_regression(self, canned_suite, tmp_path, capsys):
-        from repro.perf import write_baseline
-
-        path = tmp_path / "BENCH_4.json"
-        write_baseline(self._record(9.0), path)  # 3.0 measured vs 9.0 committed
-        assert main(["bench", "--compare-baseline", str(path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_tolerance_flag_loosens_the_gate(self, canned_suite, tmp_path):
-        from repro.perf import write_baseline
-
-        path = tmp_path / "BENCH_4.json"
-        write_baseline(self._record(4.0), path)  # 3.0 vs 4.0: 25% drop exactly
-        assert main(["bench", "--compare-baseline", str(path), "--tolerance", "0.5"]) == 0
-        assert main(["bench", "--compare-baseline", str(path), "--tolerance", "0.1"]) == 1
-
-    def test_missing_baseline_file_exits_cleanly(self, canned_suite, tmp_path):
-        with pytest.raises(SystemExit, match="not found"):
-            main(["bench", "--compare-baseline", str(tmp_path / "absent.json")])
-
-    def test_invalid_tolerance_exits_cleanly(self, canned_suite, tmp_path):
-        with pytest.raises(SystemExit, match="tolerance"):
-            main(["bench", "--compare-baseline", str(tmp_path), "--tolerance", "1.5"])
-
-    def test_combined_flags_gate_before_updating(self, canned_suite, tmp_path, capsys):
-        # The gate must compare against the *old* baseline, and a regression
-        # must block the update — never compare the fresh record to itself.
-        from repro.perf import load_baseline, write_baseline
-
-        path = tmp_path / "BENCH_4.json"
-        write_baseline(self._record(9.0), path)  # 3.0 measured vs 9.0 committed
-        code = main(
-            ["bench", "--perf-profile", "full",
-             "--compare-baseline", str(path), "--update-baseline", str(path)]
-        )
-        assert code == 1
-        assert "baseline NOT updated" in capsys.readouterr().out
-        assert load_baseline(path)["workloads"]["propagation-core/a51-tiny-d8"]["speedup"] == 9.0
-
-    def test_combined_flags_update_after_passing_gate(self, canned_suite, tmp_path):
-        from repro.perf import load_baseline, write_baseline
-
-        path = tmp_path / "BENCH_4.json"
-        write_baseline(self._record(3.1), path)  # 3.0 measured: within tolerance
-        code = main(
-            ["bench", "--perf-profile", "full",
-             "--compare-baseline", str(path), "--update-baseline", str(path)]
-        )
-        assert code == 0
-        assert load_baseline(path)["workloads"]["propagation-core/a51-tiny-d8"]["speedup"] == 3.0
-
-
 class TestSimplifyCLI:
     """PR 5: the reworked simplify sub-command (DIMACS in/out, clean errors)."""
 
@@ -440,108 +337,3 @@ class TestSimplifyCLI:
         assert main(["list", "--kind", "preprocessors"]) == 0
         output = capsys.readouterr().out
         assert "satelite" in output and "units-only" in output
-
-
-class TestPreprocessingSuiteCLI:
-    """The bench --suite preprocessing gate wiring (canned suite record)."""
-
-    @staticmethod
-    def _record(speedup: float) -> dict:
-        return {
-            "kind": "preprocessing-bench",
-            "bench_id": 5,
-            "schema": 1,
-            "profile": "smoke",
-            "seed": 3,
-            "preprocessor": "satelite",
-            "workloads": {
-                "preprocessing-estimation-fresh/bivium-tiny-d10": {
-                    "speedup": speedup,
-                    "statuses_agree": True,
-                }
-            },
-            "differential": {},
-        }
-
-    @pytest.fixture
-    def canned_suite(self, monkeypatch):
-        import repro.perf as perf
-
-        monkeypatch.setattr(
-            perf, "run_bench5", lambda profile, seed=3, progress=None: self._record(1.4)
-        )
-
-    def test_suite_alone_runs_and_prints_speedups(self, canned_suite, capsys):
-        assert main(["bench", "--suite", "preprocessing"]) == 0
-        output = capsys.readouterr().out
-        assert "preprocessing perf suite" in output
-        assert "x1.40" in output
-
-    def test_update_baseline_writes_bench5(self, canned_suite, tmp_path, capsys):
-        path = tmp_path / "BENCH_5.json"
-        assert main([
-            "bench", "--suite", "preprocessing", "--perf-profile", "full",
-            "--update-baseline", str(path),
-        ]) == 0
-        import json as _json
-
-        assert _json.loads(path.read_text())["kind"] == "preprocessing-bench"
-
-    def test_compare_baseline_gates_on_the_ratio(self, canned_suite, tmp_path):
-        import json as _json
-
-        good = tmp_path / "BENCH_5.json"
-        good.write_text(_json.dumps(self._record(1.3)))
-        assert main([
-            "bench", "--suite", "preprocessing", "--compare-baseline", str(good)
-        ]) == 0
-        strict = tmp_path / "BENCH_5_strict.json"
-        strict.write_text(_json.dumps(self._record(2.5)))
-        assert main([
-            "bench", "--suite", "preprocessing", "--compare-baseline", str(strict)
-        ]) == 1
-
-    def test_wrong_suite_kind_is_rejected_before_running(self, canned_suite, tmp_path, monkeypatch):
-        # A BENCH_4 file given to --suite preprocessing must fail fast, before
-        # the (expensive) suite run — the canned runner would raise if called.
-        import json as _json
-
-        import repro.perf as perf
-
-        def explode(profile, seed=3, progress=None):  # pragma: no cover
-            raise AssertionError("suite ran before baseline validation")
-
-        monkeypatch.setattr(perf, "run_bench5", explode)
-        wrong = tmp_path / "BENCH_4.json"
-        wrong.write_text(_json.dumps({"kind": "propagation-core-bench", "schema": 1,
-                                      "workloads": {}}))
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--suite", "preprocessing", "--compare-baseline", str(wrong)])
-        assert "preprocessing-bench" in str(excinfo.value)
-
-    def test_committed_bench5_baseline_loads(self):
-        from repro.perf import default_baseline_path, load_baseline
-
-        path = default_baseline_path("preprocessing")
-        assert path.exists(), "benchmarks/BENCH_5.json must be committed"
-        document = load_baseline(path, suite="preprocessing")
-        assert document["bench_id"] == 5
-
-    def test_gate_fails_on_broken_differential_evidence(self, tmp_path, monkeypatch):
-        # A record whose speedup is excellent but whose per-sample statuses
-        # disagree must fail the gate and refuse to write a baseline.
-        import repro.perf as perf
-
-        record = self._record(9.9)
-        record["workloads"]["preprocessing-estimation-fresh/bivium-tiny-d10"][
-            "statuses_agree"
-        ] = False
-        monkeypatch.setattr(
-            perf, "run_bench5", lambda profile, seed=3, progress=None: record
-        )
-        path = tmp_path / "BENCH_5.json"
-        assert main([
-            "bench", "--suite", "preprocessing", "--perf-profile", "full",
-            "--update-baseline", str(path),
-        ]) == 1
-        assert not path.exists()

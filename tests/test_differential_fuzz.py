@@ -6,11 +6,10 @@ solved three ways — fresh CDCL, reference DPLL, and the incremental CDCL
 exactly.  Every claimed model is additionally checked against the formula, so
 a solver cannot "win" the agreement by being wrong in the same direction.
 
-Since PR 4 the default ``CDCLSolver`` is the flat-array arena engine and the
-pre-arena implementation survives as ``LegacyCDCLSolver``; the
-``TestArenaVsLegacyEngines`` class runs both engines over the same corpus
-(one-shot and under incremental assumption sequences) and requires
-bit-identical SAT/UNSAT verdicts.
+The ``TestArenaVsLegacyEngines`` class pins the flat-array arena engine
+against references outside it: fresh DPLL under incremental assumption
+sequences and on 4-SAT instances off the ternary fast path, and a
+unit-propagation fixpoint written in the test for its propagation counts.
 
 PR 10 adds the ``TestSharingPortfolio`` lane: the deterministic clause-sharing
 portfolio (:mod:`repro.portfolio.sharing`) runs over the same 200+ instance
@@ -31,16 +30,16 @@ import random
 import pytest
 
 from repro.portfolio import (
-    PortfolioSolver,
     SharingPolicy,
     SharingPortfolioSolver,
     default_portfolio,
 )
-from repro.sat.cdcl import CDCLSolver, LegacyCDCLSolver
+from repro.sat.cdcl import CDCLSolver
+from repro.sat.cdcl.solver import _ilit
 from repro.sat.dpll import DPLLSolver
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import planted_ksat, random_ksat, random_unsat_core
-from repro.sat.solver import SolverStatus, check_model
+from repro.sat.solver import SolverBudget, SolverStats, SolverStatus, check_model
 
 #: (num_vars, clause ratio) grid × seeds: 3 shapes × 60 seeds = 180 uniform
 #: instances, plus 10 planted-SAT and 10 constructed-UNSAT ones below.
@@ -145,47 +144,25 @@ class TestFuzzCorpusSize:
 
 
 class TestArenaVsLegacyEngines:
-    """The arena rewrite must agree verdict-for-verdict with the old engine."""
-
-    def test_engines_agree_on_the_uniform_corpus(self):
-        decided = 0
-        for cnf in _uniform_instances():
-            results = {
-                "arena": CDCLSolver().solve(cnf),
-                "legacy": LegacyCDCLSolver().solve(cnf),
-                "arena-incremental": CDCLSolver().load(cnf).solve(),
-            }
-            _assert_agreement(cnf, [], results)
-            decided += 1
-        assert decided == len(UNIFORM_GRID) * SEEDS_PER_SHAPE
+    """The arena engine against references that share none of its code."""
 
     def test_engines_agree_under_incremental_assumption_sequences(self):
-        # One persistent solver of each engine per instance: learned clauses
-        # accumulate independently in two different clause databases and must
-        # never make the engines disagree on any assumption vector.
+        # One persistent arena solver per instance: learned clauses accumulate
+        # across assumption vectors and must never make it disagree with a
+        # fresh DPLL solve of the same vector.
         for num_vars, ratio in UNIFORM_GRID:
             for seed in range(10):
                 cnf = random_ksat(num_vars, round(ratio * num_vars), k=3, seed=2500 + seed)
                 arena = CDCLSolver().load(cnf)
-                legacy = LegacyCDCLSolver().load(cnf)
                 rng = random.Random(4000 + seed)
                 for _ in range(6):
                     variables = rng.sample(range(1, num_vars + 1), rng.randint(0, 3))
                     assumptions = [v if rng.random() < 0.5 else -v for v in variables]
                     results = {
                         "arena": arena.solve(assumptions=assumptions),
-                        "legacy": legacy.solve(assumptions=assumptions),
+                        "dpll": DPLLSolver().solve(cnf, assumptions=assumptions),
                     }
                     _assert_agreement(cnf, assumptions, results)
-
-    def test_engines_agree_on_constructed_instances(self):
-        for seed in range(10):
-            cnf, _planted = planted_ksat(10, 38, k=3, seed=seed)
-            assert CDCLSolver().solve(cnf).status is SolverStatus.SAT
-            assert LegacyCDCLSolver().solve(cnf).status is SolverStatus.SAT
-            core = random_unsat_core(6 + seed, seed=seed)
-            assert CDCLSolver().solve(core).status is SolverStatus.UNSAT
-            assert LegacyCDCLSolver().solve(core).status is SolverStatus.UNSAT
 
     def test_engines_agree_off_the_ternary_fast_path(self):
         # 4-SAT instances route through the arena engine's long-clause
@@ -194,18 +171,16 @@ class TestArenaVsLegacyEngines:
             cnf = random_ksat(14, 130, k=4, seed=seed)
             results = {
                 "arena": CDCLSolver().solve(cnf),
-                "legacy": LegacyCDCLSolver().solve(cnf),
+                "dpll": DPLLSolver().solve(cnf),
             }
             _assert_agreement(cnf, [], results)
 
     def test_engine_propagation_counts_agree_on_conflict_free_closures(self):
         # Unit propagation is confluent: on a conflict-free assumption vector
-        # both engines must assign the exact same closure, so their isolated
-        # propagation counters agree *exactly* even though visit order
-        # differs.  Vectors drawn from a model of the formula can never
-        # conflict, which makes exact equality assertable.
-        from repro.perf.workloads import _propagation_round
-
+        # the arena must assign exactly the unit-propagation closure of the
+        # vector, whatever its visit order.  Its propagation counter counts
+        # the implied literals, so it equals the closure minus the vector's
+        # own literals.  Vectors drawn from a model can never conflict.
         cnf = random_ksat(30, 100, k=3, seed=9)  # under-constrained: SAT
         model = CDCLSolver().solve(cnf).model
         assert model is not None
@@ -214,24 +189,49 @@ class TestArenaVsLegacyEngines:
         for _ in range(25):
             variables = rng.sample(range(1, 31), rng.randint(1, 6))
             vectors.append([v if model[v] else -v for v in variables])
-        arena_props, _ = _propagation_round("arena", cnf, vectors)
-        legacy_props, _ = _propagation_round("legacy", cnf, vectors)
-        assert arena_props == legacy_props
-        assert arena_props > 0
+
+        solver = CDCLSolver().load(cnf)
+        solver._stats = SolverStats()
+        solver._budget = SolverBudget()
+        solver._propagate()
+        assert solver._stats.propagations == 0  # no root-level units
+        for vector in vectors:
+            solver._trail_lim.append(len(solver._trail))
+            for lit in vector:
+                solver._enqueue(_ilit(lit), -1)
+            solver._propagate()
+            solver._cancel_until(0)
+
+        implied = sum(len(_unit_closure(cnf, vector)) - len(vector) for vector in vectors)
+        assert solver._stats.propagations == implied
+        assert implied > 0
+
+
+def _unit_closure(cnf: CNF, literals) -> set[int]:
+    """The unit-propagation closure of ``literals``, inputs included (naive fixpoint)."""
+    assigned = set(literals)
+    changed = True
+    while changed:
+        changed = False
+        for clause in cnf.clauses:
+            if any(lit in assigned for lit in clause):
+                continue
+            open_literals = [lit for lit in clause if -lit not in assigned]
+            assert open_literals, "the vector must not conflict"
+            if len(open_literals) == 1:
+                assigned.add(open_literals[0])
+                changed = True
+    return assigned
 
 
 class TestTraceStatsParity:
     """PR 6: event traces must agree exactly with each engine's own counters.
 
     A trace is only useful evidence if it cannot drift from the statistics the
-    rest of the system reports, so for a slice of the fuzz corpus both engines
-    are solved with tracing attached and the per-event totals are checked
-    against ``result.stats`` — propagations (ENQUEUE), decisions, conflicts,
-    restarts and non-unit learnt clauses — for the same engine.  The counters
-    are also compared *across* engines where confluence makes that sound
-    (nothing beyond verdicts is guaranteed to match under conflicts, so the
-    cross-engine check stays on the conflict-free propagation counts already
-    pinned above).
+    rest of the system reports, so for a slice of the fuzz corpus the arena
+    engine is solved with tracing attached and the per-event totals are
+    checked against ``result.stats`` — propagations (ENQUEUE), decisions,
+    conflicts, restarts and non-unit learnt clauses.
     """
 
     @staticmethod
@@ -251,26 +251,25 @@ class TestTraceStatsParity:
         corpus = list(_uniform_instances())[::9]  # every 9th: 20 instances
         assert len(corpus) >= 20
         for cnf in corpus:
-            for name, engine_cls in (("arena", CDCLSolver), ("legacy", LegacyCDCLSolver)):
-                result, events = self._solve_traced(engine_cls, cnf)
-                counts: dict[str, int] = {}
-                learned = 0
-                for event in events:
-                    counts[event.name] = counts.get(event.name, 0) + 1
-                    if event.name == "LEARN" and event.args[1] > 1:
-                        learned += 1
-                stats = result.stats
-                expected = {
-                    "ENQUEUE": stats.propagations,
-                    "DECIDE": stats.decisions,
-                    "CONFLICT": stats.conflicts,
-                    "RESTART": stats.restarts,
-                }
-                for event_name, counter in expected.items():
-                    assert counts.get(event_name, 0) == counter, (
-                        f"{name}: {event_name} events disagree with stats on {cnf}"
-                    )
-                assert learned == stats.learned_clauses, name
+            result, events = self._solve_traced(CDCLSolver, cnf)
+            counts: dict[str, int] = {}
+            learned = 0
+            for event in events:
+                counts[event.name] = counts.get(event.name, 0) + 1
+                if event.name == "LEARN" and event.args[1] > 1:
+                    learned += 1
+            stats = result.stats
+            expected = {
+                "ENQUEUE": stats.propagations,
+                "DECIDE": stats.decisions,
+                "CONFLICT": stats.conflicts,
+                "RESTART": stats.restarts,
+            }
+            for event_name, counter in expected.items():
+                assert counts.get(event_name, 0) == counter, (
+                    f"{event_name} events disagree with stats on {cnf}"
+                )
+            assert learned == stats.learned_clauses
 
     def test_batched_trace_event_counts_equal_scalar_stats(self):
         # PR 7: the lockstep fast path synthesises its trace events after the
@@ -483,8 +482,8 @@ class TestPreprocessorDifferential:
     Every instance of the seeded corpus (200+ CNFs: the uniform grid, the
     planted-SAT set and the constructed-UNSAT set) is preprocessed — with a
     couple of frozen variables, as the incremental contract prescribes — and
-    the simplified formula is solved by fresh CDCL, the legacy engine and
-    DPLL.  All three must agree with the raw formula's verdict, and every
+    the simplified formula is solved by fresh CDCL and DPLL.  Both must
+    agree with the raw formula's verdict, and every
     model of the simplified formula must, after reconstruction, satisfy the
     *original* formula.  A separate pass drives incremental assumption
     sequences through ``CDCLConfig.simplify`` and requires bit-identical
@@ -509,7 +508,6 @@ class TestPreprocessorDifferential:
         simplified = presolve.cnf
         results = {
             "cdcl": CDCLSolver().solve(simplified),
-            "legacy": LegacyCDCLSolver().solve(simplified),
             "dpll": DPLLSolver().solve(simplified),
         }
         for name, result in results.items():
@@ -625,18 +623,10 @@ class TestSharingPortfolio:
                 rng = random.Random(7100 + seed)
                 variables = rng.sample(range(1, num_vars + 1), 2)
                 assumptions = [v if rng.random() < 0.5 else -v for v in variables]
-                isolated = PortfolioSolver(
-                    default_portfolio()[:3],
-                    cost_measure="propagations",
-                    slice_budget=8,
-                    max_rounds=64,
-                )
-                isolated_result = isolated.solve(cnf, assumptions=assumptions)
+                isolated = _sharing_solver(policy=SharingPolicy(per_round=0))
                 results = {
                     "sharing": _sharing_solver().solve(cnf, assumptions=assumptions),
-                    # PortfolioResult has no model property: check the
-                    # winning member's SolveResult, which carries one.
-                    "isolated": isolated_result.winner.result,
+                    "isolated": isolated.solve(cnf, assumptions=assumptions),
                     "cdcl": CDCLSolver().solve(cnf, assumptions=assumptions),
                 }
                 _assert_agreement(cnf, assumptions, results)

@@ -6,8 +6,8 @@ Four layers, bottom up:
   per-round budgets, first-exporter dedup, round-stamped visibility (a round-r
   export is importable from round r+1, never earlier), seeded rotation, audit
   log;
-* the engines' sharing surface — ``import_clauses`` / ``exportable_clauses``
-  on both the arena and the legacy engine, including cross-engine transplants;
+* the solver's sharing surface — ``import_clauses`` / ``exportable_clauses``,
+  including transplants between differently configured solvers;
 * the inprocessing contract — frozen variables survive
   :meth:`~repro.sat.cdcl.CDCLSolver.inprocess`, ``unassumable_variables`` is
   correct afterwards, and chained reconstruction stacks across repeated
@@ -15,7 +15,9 @@ Four layers, bottom up:
 * the :class:`~repro.portfolio.sharing.SharingPortfolioSolver` determinism
   contract — same seed ⇒ bit-identical winner, costs, counters, exchange log,
   schedule fingerprint and trace bytes, across repeated runs and across the
-  inline / thread / simulated-grid executors and ``replay=True``.
+  inline / thread / simulated-grid executors and ``replay=True``;
+  against the isolated sliced race (``SharingPolicy(per_round=0)``) it pins
+  exact virtual costs and exchange counts on a ten-instance bivium-tiny suite.
 
 This module is part of the CI flake-detection matrix (five PYTHONHASHSEED
 values), so none of the equalities below may depend on dict/set iteration
@@ -30,13 +32,12 @@ import pytest
 
 from repro.portfolio import (
     ClauseExchange,
-    PortfolioSolver,
     SharingPolicy,
     SharingPortfolioSolver,
     slice_budget_for,
 )
 from repro.portfolio.portfolio import default_portfolio
-from repro.sat.cdcl import CDCLSolver, LegacyCDCLSolver
+from repro.sat.cdcl import CDCLConfig, CDCLSolver
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import planted_ksat, random_ksat
 from repro.sat.simplify import Preprocessor
@@ -127,10 +128,17 @@ class TestClauseExchange:
         for bad in (
             dict(max_lbd=0),
             dict(max_size=0),
-            dict(per_round=0),
+            dict(per_round=-1),
         ):
             with pytest.raises(ValueError):
                 SharingPolicy(**bad)
+
+    def test_zero_per_round_exports_nothing(self):
+        bus = self._bus(policy=SharingPolicy(per_round=0))
+        assert bus.export("a", 0, [((1, 2), 2), ((3, 4), 1)]) == 0
+        assert bus.records == []
+        assert bus.imports_for("b", 1) == []
+        assert bus.dropped["a"] == 2
 
 
 # ------------------------------------------------------------------ slice budget
@@ -153,12 +161,12 @@ class TestSliceBudget:
 
 
 # ------------------------------------------------------------- engine surfaces
-ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver}
+ENGINES = {"arena": CDCLSolver}
 
 
 class TestImportExport:
     @staticmethod
-    def _learned_solver(engine_cls, seed: int = 3):  # seed 3: SAT, both engines learn
+    def _learned_solver(engine_cls, seed: int = 3):  # seed 3: SAT, the solve learns
         cnf = random_ksat(20, 85, k=3, seed=seed)
         solver = engine_cls().load(cnf)
         solver.solve()
@@ -213,24 +221,27 @@ class TestImportExport:
             solver.import_clauses([(5, 6)])
 
     def test_cross_engine_transplant_preserves_verdicts(self):
-        # Clauses learned by one engine import cleanly into the other and
-        # never flip any answer on a shared assumption corpus.
+        # Clauses learned by one solver import cleanly into a differently
+        # configured one (another search, so other learned clauses) and never
+        # flip any answer on a shared assumption corpus.
         cnf = random_ksat(16, 68, k=3, seed=23)
-        arena = CDCLSolver().load(cnf)
-        legacy = LegacyCDCLSolver().load(cnf)
-        arena.solve()
-        legacy.solve()
-        legacy.import_clauses(
-            [clause for clause, _ in arena.exportable_clauses(max_lbd=4, max_size=8)]
+        default = CDCLSolver().load(cnf)
+        tuned = CDCLSolver(
+            CDCLConfig(use_luby_restarts=False, default_phase=True, var_decay=0.85)
+        ).load(cnf)
+        default.solve()
+        tuned.solve()
+        tuned.import_clauses(
+            [clause for clause, _ in default.exportable_clauses(max_lbd=4, max_size=8)]
         )
-        arena.import_clauses(
-            [clause for clause, _ in legacy.exportable_clauses(max_lbd=4, max_size=8)]
+        default.import_clauses(
+            [clause for clause, _ in tuned.exportable_clauses(max_lbd=4, max_size=8)]
         )
         reference = CDCLSolver()
         for assumptions in ([], [1], [-1], [2, -3], [-2, 3], [4, 5, -6]):
             expected = reference.solve(cnf, assumptions=assumptions).status
-            assert arena.solve(assumptions=assumptions).status is expected
-            assert legacy.solve(assumptions=assumptions).status is expected
+            assert default.solve(assumptions=assumptions).status is expected
+            assert tuned.solve(assumptions=assumptions).status is expected
 
     def test_import_requires_a_loaded_formula(self):
         with pytest.raises(ValueError):
@@ -461,11 +472,9 @@ class TestSharingDeterminism:
 
 class TestSharingAgainstIsolated:
     def test_sharing_agrees_with_the_isolated_sliced_portfolio(self, bivium):
-        configurations = default_portfolio()[:4]
-        isolated = PortfolioSolver(
-            configurations, cost_measure="propagations", slice_budget=512, max_rounds=64
-        ).solve(bivium.cnf)
+        isolated = _race(4, policy=SharingPolicy(per_round=0)).solve(bivium.cnf)
         sharing = _race(4).solve(bivium.cnf)
+        assert isolated.total_exported == 0 and isolated.total_imported == 0
         assert sharing.status is isolated.status
         assert sharing.status is SolverStatus.SAT
         assert check_model(bivium.cnf, sharing.model)
@@ -493,3 +502,46 @@ class TestSharingAgainstIsolated:
         assert result.decided_round is None
         assert result.rounds_executed == 2
         assert result.virtual_parallel_cost == float("inf")
+
+
+class TestSharingSuiteCounts:
+    """Sharing against the isolated sliced race on bivium-tiny instances.
+
+    Both sides run ``_race(4)``: the tiny-4 members, 512-propagation slices,
+    64 rounds and exchange seed 3; the isolated side exports nothing.  Every
+    figure is a solver work counter, so the totals are exact on any machine.
+    They are the committed ``benchmarks/BENCH_7.json`` totals (x1.72, and
+    x2.01 with inprocessing).
+    """
+
+    @staticmethod
+    def _totals(seeds, **sharing_knobs) -> dict[str, float]:
+        from repro.api.registry import get_cipher
+        from repro.problems import make_inversion_instance
+
+        totals = {"isolated": 0.0, "sharing": 0.0, "exported": 0, "imported": 0}
+        for seed in seeds:
+            cnf = make_inversion_instance(get_cipher("bivium-tiny")(), seed=seed).cnf
+            isolated = _race(4, policy=SharingPolicy(per_round=0)).solve(cnf)
+            sharing = _race(4, **sharing_knobs).solve(cnf)
+            replayed = _race(4, **sharing_knobs).solve(cnf, replay=True)
+            assert isolated.total_exported == 0, seed
+            assert sharing.status is isolated.status is SolverStatus.SAT, seed
+            assert check_model(cnf, sharing.model), seed
+            assert replayed.exchange_fingerprint == sharing.exchange_fingerprint, seed
+            assert replayed.virtual_parallel_cost == sharing.virtual_parallel_cost, seed
+            totals["isolated"] += isolated.virtual_parallel_cost
+            totals["sharing"] += sharing.virtual_parallel_cost
+            totals["exported"] += sharing.total_exported
+            totals["imported"] += sharing.total_imported
+        return totals
+
+    def test_suite_of_ten_seeds(self):
+        assert self._totals(range(1, 11)) == {
+            "isolated": 133414, "sharing": 77585, "exported": 1955, "imported": 5865,
+        }
+
+    def test_inprocessing_on_the_two_hardest_seeds(self):
+        assert self._totals((1, 5), policy=SharingPolicy(), inprocess_every=8) == {
+            "isolated": 43170, "sharing": 21434, "exported": 269, "imported": 807,
+        }

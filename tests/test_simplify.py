@@ -181,7 +181,6 @@ def test_property_bce_preserves_satisfiability(seed):
 # The production Preprocessor (PR 5): per-rule units + integration contract.
 # ======================================================================
 
-from repro.sat.cdcl import LegacyCDCLSolver  # noqa: E402
 from repro.sat.cdcl.config import CDCLConfig  # noqa: E402
 from repro.sat.simplify import (  # noqa: E402
     PreprocessConfig,
@@ -434,6 +433,42 @@ class TestPreprocessorContract:
         assert get_preprocessor("satelite")(max_growth=3).config.max_growth == 3
 
 
+
+class TestCipherEncodingReduction:
+    """Default preprocessing of the weakened cipher encodings (seed 3).
+
+    The start set is frozen, as the estimating mode does.  Every counter but
+    ``wall_time`` is deterministic; these are the ``reduction`` records of the
+    committed ``benchmarks/BENCH_5.json``.
+    """
+
+    EXPECTED = {
+        "bivium-tiny": dict(
+            vars_before=284, vars_after=146, clauses_before=1017, clauses_after=694,
+            literals_before=2873, literals_after=2196, fixed_literals=31,
+            pure_literals=0, subsumed=0, strengthened=0, eliminated_variables=107,
+            failed_literals=0, probed_literals=0, blocked_clauses=0, rounds=2,
+        ),
+        "a51-tiny": dict(
+            vars_before=773, vars_after=454, clauses_before=2945, clauses_after=2334,
+            literals_before=8615, literals_after=7964, fixed_literals=29,
+            pure_literals=0, subsumed=2, strengthened=2, eliminated_variables=290,
+            failed_literals=0, probed_literals=0, blocked_clauses=0, rounds=3,
+        ),
+    }
+
+    @pytest.mark.parametrize("cipher", sorted(EXPECTED))
+    def test_reduction_counters_are_exact(self, cipher):
+        from repro.api.registry import get_cipher
+        from repro.problems import make_inversion_instance
+
+        instance = make_inversion_instance(get_cipher(cipher)(), seed=3)
+        result = Preprocessor().preprocess(instance.cnf, frozen=frozenset(instance.start_set))
+        counters = result.stats.to_dict()
+        del counters["wall_time"]
+        assert counters == self.EXPECTED[cipher]
+
+
 class TestSolverSimplifyKnob:
     """CDCLConfig.simplify: preprocessing inside CDCLSolver.load()."""
 
@@ -472,8 +507,6 @@ class TestSolverSimplifyKnob:
         # The validation applies even with simplify off (contract consistency).
         with pytest.raises(ValueError, match="frozen variables"):
             CDCLSolver().load(cnf, frozen=[5])
-        with pytest.raises(ValueError, match="frozen variables"):
-            LegacyCDCLSolver().load(cnf, frozen=[5])
 
     def test_globally_unsat_after_preprocessing(self):
         cnf = CNF([(1,), (-1, 2), (-2,)])

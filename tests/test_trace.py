@@ -5,7 +5,7 @@ Four layers are covered, mirroring the package structure:
 * the **codec** (:mod:`repro.trace.format`) — randomized roundtrips, every
   error path (magic, version, truncation, dangling string refs) and the
   million-event size budget (≤ 8 bytes/event);
-* the **instrumentation** — for both CDCL engines, the preprocessor and the
+* the **instrumentation** — for the CDCL solver, the preprocessor and the
   scheduler, the event stream must agree *exactly* with the subsystem's own
   statistics counters (traces are evidence, so they must not drift from the
   numbers the rest of the system reports);
@@ -29,7 +29,7 @@ import textwrap
 
 import pytest
 
-from repro.sat.cdcl import CDCLSolver, LegacyCDCLSolver
+from repro.sat.cdcl import CDCLSolver
 from repro.sat.cdcl.config import CDCLConfig
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import random_ksat
@@ -316,7 +316,7 @@ class TestSolverInstrumentation:
     #: conflicts, learning, backtracking *and* restarts all occur.
     CNF_ARGS = (60, 276)
 
-    @pytest.mark.parametrize("engine", [CDCLSolver, LegacyCDCLSolver])
+    @pytest.mark.parametrize("engine", [CDCLSolver])
     def test_event_counts_equal_stats_counters(self, engine):
         cnf = random_ksat(*self.CNF_ARGS, k=3, seed=11)
         solver = engine(CDCLConfig(restart_base=16))
@@ -332,7 +332,7 @@ class TestSolverInstrumentation:
         assert counts.get("SOLVE", 0) == 1
         assert stats.conflicts > 0 and stats.restarts > 0  # workload is real
 
-    @pytest.mark.parametrize("engine", [CDCLSolver, LegacyCDCLSolver])
+    @pytest.mark.parametrize("engine", [CDCLSolver])
     def test_restart_conflict_counters_are_monotone(self, engine):
         cnf = random_ksat(*self.CNF_ARGS, k=3, seed=11)
         _, events = _traced_solve(engine(CDCLConfig(restart_base=16)), cnf)
@@ -681,45 +681,20 @@ class TestTraceCli:
             ])
 
 
-class TestBenchSuiteEnumeration:
-    def test_unknown_suite_exits_listing_the_available_suites(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--suite", "bogus"])
-        message = str(excinfo.value)
-        assert "unknown perf suite 'bogus'" in message
-        assert "preprocessing" in message and "propagation" in message
-
-    def test_suite_runners_cover_the_baseline_registry(self):
-        from repro.perf import SUITE_RUNNERS
-        from repro.perf.baseline import SUITES
-
-        assert set(SUITE_RUNNERS) == set(SUITES)
-        assert all(callable(runner) for runner in SUITE_RUNNERS.values())
-
-
-class TestBenchExplain:
-    def test_explain_records_and_diffs_the_regressed_workload(self, capsys):
-        from repro.cli import _explain_regressions
-
-        _explain_regressions(
-            ["propagation-core/a51-tiny-d8: arena regressed 40.0% vs baseline"],
-            seed=3,
-        )
-        out = capsys.readouterr().out
-        assert "--explain traces for a51-tiny" in out
-        assert "arena" in out and "legacy" in out
-
-    def test_explain_skips_unparseable_workload_names(self, capsys):
-        from repro.cli import _explain_regressions
-
-        _explain_regressions(["weird-workload-name: something"], seed=3)
-        out = capsys.readouterr().out
-        assert "no workload names" in out
-
-
 # ------------------------------------------------------------ overhead budget
+def assumption_vectors(
+    variables: list[int], d: int, count: int, seed: int
+) -> list[list[int]]:
+    """``count`` deterministic random polarity vectors over the first ``d`` variables.
+
+    Shared by the closure check below and by the wall-clock overhead gate in
+    ``benchmarks/bench_tracing_overhead.py``.
+    """
+    chosen = variables[:d]
+    rng = random.Random(seed)
+    return [[v if rng.random() < 0.5 else -v for v in chosen] for _ in range(count)]
+
+
 def make_stripped_solver_class():
     """A ``CDCLSolver`` subclass whose ``_propagate`` has the trace hooks
     physically removed (the ``# trace-hook`` tagged lines).
@@ -775,7 +750,6 @@ class TestDisabledTracingOverhead:
         """Hook-stripped and instrumented builds must agree propagation by
         propagation on identical assumption vectors (counts, not timings)."""
         from repro.api.registry import get_cipher
-        from repro.perf.workloads import assumption_vectors
         from repro.problems import make_inversion_instance
         from repro.sat.cdcl import solver as solver_module
         from repro.sat.cdcl.solver import _ilit

@@ -5,11 +5,17 @@ processes; the SAT@home campaign dispatched them to a BOINC volunteer grid.
 This module keeps the :class:`ExecutionBackend` protocol as the compatibility
 facade of that idea — a backend takes a CNF and a list of assumption vectors
 and returns one :class:`SubproblemOutcome` per vector, in input order, plus
-backend-specific metadata — but every built-in backend is now a thin policy
-over the unified fault-tolerant scheduler of :mod:`repro.runner.scheduler`:
-the family becomes a task graph, the backend picks an executor (inline, real
-process pool, simulated virtual-clock cluster), and the scheduler contributes
-retry budgets, checkpoint/resume and order-independent result folding.
+backend-specific metadata — but every built-in backend is a thin policy over
+one shared path: the family becomes a task graph of one-row tasks, the run
+gets its own :class:`~repro.runner.pool.WorkerState` (whose kernel solves
+each row fresh), the backend names an executor that
+:func:`~repro.runner.pool.worker_executor` builds (inline, real process pool,
+simulated virtual-clock cluster), and the scheduler of
+:mod:`repro.runner.scheduler` contributes retry budgets, checkpoint/resume and
+order-independent result folding.  :class:`SubproblemOutcome` — with
+:func:`encode_outcome` / :func:`decode_outcome`, its checkpoint format — is
+the one outcome type of that path, defined in :mod:`repro.runner.pool` and
+re-exported here.
 
 Because the bundled solvers are deterministic, every backend returns the exact
 same statuses and costs for the same inputs — the backends differ only in how
@@ -43,60 +49,24 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.api.registry import register_backend
 from repro.api.specs import SolverSpec
+from repro.runner.pool import (
+    SubproblemOutcome,
+    WorkerState,
+    decode_outcome,
+    encode_outcome,
+    family_task_id,
+    family_tasks,
+    worker_executor,
+)
 from repro.runner.scheduler import (
-    Executor,
     FailureModel,
-    InlineExecutor,
     RetryPolicy,
     Scheduler,
     SchedulerCheckpoint,
     SchedulerRun,
-    SimulatedGridExecutor,
 )
 from repro.sat.formula import CNF
 from repro.sat.solver import SolverBudget, SolverStatus
-
-
-@dataclass(frozen=True)
-class SubproblemOutcome:
-    """Outcome of one sub-problem of a family."""
-
-    assumptions: tuple[int, ...]
-    status: SolverStatus
-    cost: float
-    wall_time: float
-    model: dict[int, bool] | None = None
-
-
-def encode_outcome(outcome: SubproblemOutcome) -> dict[str, Any]:
-    """JSON-plain representation of an outcome (the checkpoint format)."""
-    return {
-        "assumptions": list(outcome.assumptions),
-        "status": outcome.status.value,
-        "cost": outcome.cost,
-        "wall_time": outcome.wall_time,
-        "model": (
-            {str(var): value for var, value in outcome.model.items()}
-            if outcome.model is not None
-            else None
-        ),
-    }
-
-
-def decode_outcome(data: dict[str, Any]) -> SubproblemOutcome:
-    """Inverse of :func:`encode_outcome`."""
-    model = data.get("model")
-    return SubproblemOutcome(
-        assumptions=tuple(int(lit) for lit in data["assumptions"]),
-        status=SolverStatus(data["status"]),
-        cost=float(data["cost"]),
-        wall_time=float(data["wall_time"]),
-        model=(
-            {int(var): bool(value) for var, value in model.items()}
-            if model is not None
-            else None
-        ),
-    )
 
 
 @dataclass
@@ -171,33 +141,6 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover
 
 
-def _family_task_fn(
-    cnf: CNF,
-    solver_spec: SolverSpec,
-    cost_measure: str,
-    budget: SolverBudget | None,
-) -> Callable[[tuple[int, ...]], SubproblemOutcome]:
-    """One in-process solver shared across tasks (fresh-solve semantics).
-
-    Passing the CNF to every ``solve`` call re-initialises the solver, so one
-    instance behaves exactly like a fresh solver per sub-problem — and retried
-    attempts reproduce their original result bit for bit.
-    """
-    solver = solver_spec.build()
-
-    def solve_task(literals: tuple[int, ...]) -> SubproblemOutcome:
-        result = solver.solve(cnf, assumptions=list(literals), budget=budget)
-        return SubproblemOutcome(
-            assumptions=tuple(int(lit) for lit in literals),
-            status=result.status,
-            cost=result.stats.cost(cost_measure),
-            wall_time=result.stats.wall_time,
-            model=result.model if result.is_sat else None,
-        )
-
-    return solve_task
-
-
 def _validate_family_checkpoint(graph, checkpoint: SchedulerCheckpoint) -> None:
     """Refuse a checkpoint whose recorded assumptions mismatch this family.
 
@@ -224,22 +167,34 @@ def _validate_family_checkpoint(graph, checkpoint: SchedulerCheckpoint) -> None:
 
 
 def _run_family_scheduler(
+    executor: str,
+    cnf: CNF,
     assumption_vectors: Sequence[Sequence[int]],
-    executor: Executor,
+    solver: SolverSpec | None,
+    cost_measure: str,
+    budget: SolverBudget | None,
     stop_on_sat: bool,
     progress: ProgressFn | None,
     checkpoint: SchedulerCheckpoint | None,
     checkpoint_sink: Callable[[SchedulerCheckpoint], None] | None,
+    checkpoint_every: int,
+    trace,
+    workers: int | None = None,
+    dispatch_latency: float = 0.0,
+    failures: FailureModel | None = None,
     retry: RetryPolicy | None = None,
-    checkpoint_every: int = 1,
-    trace=None,
 ) -> tuple[list[SubproblemOutcome], SchedulerRun]:
-    """The shared scheduler loop behind every built-in backend."""
-    from repro.runner.pool import family_tasks
+    """The shared path behind every built-in backend.
 
+    One :class:`~repro.runner.pool.WorkerState` for this run, the
+    ``executor`` built around it by :func:`~repro.runner.pool.worker_executor`,
+    and one scheduler pass over the family's task graph.
+    """
     graph = family_tasks(assumption_vectors)
     if checkpoint is not None:
         _validate_family_checkpoint(graph, checkpoint)
+    spec = solver or SolverSpec()
+    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget)
     total = len(graph)
     completed = {"count": 0}
 
@@ -253,24 +208,28 @@ def _run_family_scheduler(
     # executors, stopping at the first SAT *completion* could leave earlier
     # sub-problems unresolved and silently punch holes in the reported
     # prefix.  Everyone else solves the whole family and truncates after.
-    inline_stop = stop_on_sat and isinstance(executor, InlineExecutor)
-    run = Scheduler(
-        graph,
-        executor,
-        retry=retry or RetryPolicy(max_attempts=3),
-        checkpoint=checkpoint,
-        result_decoder=decode_outcome,
-        checkpoint_sink=checkpoint_sink,
-        result_encoder=encode_outcome,
-        checkpoint_every=checkpoint_every,
-        stop_on=(
-            (lambda task_id, value: value.status is SolverStatus.SAT)
-            if inline_stop
-            else None
-        ),
-        on_result=on_result,
-        trace=trace,
-    ).run()
+    inline_stop = stop_on_sat and executor == "serial"
+    with worker_executor(
+        executor, state, workers=workers, dispatch_latency=dispatch_latency,
+        failures=failures,
+    ) as resolved:
+        run = Scheduler(
+            graph,
+            resolved,
+            retry=retry or RetryPolicy(max_attempts=3),
+            checkpoint=checkpoint,
+            result_decoder=decode_outcome,
+            checkpoint_sink=checkpoint_sink,
+            result_encoder=encode_outcome,
+            checkpoint_every=checkpoint_every,
+            stop_on=(
+                (lambda task_id, value: value.status is SolverStatus.SAT)
+                if inline_stop
+                else None
+            ),
+            on_result=on_result,
+            trace=trace,
+        ).run()
     if run.failed:
         task_id, error = next(iter(run.failed.items()))
         raise RuntimeError(
@@ -324,11 +283,10 @@ class SerialBackend:
     ) -> BackendRun:
         """Run the family through the inline (serial) executor."""
         started = time.perf_counter()
-        task_fn = _family_task_fn(cnf, solver or SolverSpec(), cost_measure, budget)
         outcomes, run = _run_family_scheduler(
-            assumption_vectors, InlineExecutor(task_fn), stop_on_sat, progress,
-            checkpoint, checkpoint_sink, checkpoint_every=checkpoint_every,
-            trace=trace,
+            "serial", cnf, assumption_vectors, solver, cost_measure, budget,
+            stop_on_sat, progress, checkpoint, checkpoint_sink, checkpoint_every,
+            trace,
         )
         return BackendRun(
             backend=self.name,
@@ -343,9 +301,12 @@ class ProcessPoolBackend:
     """Solve sub-problems in real worker processes with crash retry.
 
     ``processes=None`` uses every core; ``processes=1`` degrades to an
-    in-process loop (handy in tests).  ``stop_on_sat`` is emulated by
-    truncating the outcome list at the first satisfiable sub-problem, which
-    reproduces exactly what the serial backend would have reported.
+    in-process loop (handy in tests).  Each worker process receives the run's
+    worker state once, through the pool initializer; a pool that cannot start
+    falls back to threads on the same per-run state, with identical results.
+    ``stop_on_sat`` is emulated by truncating the outcome list at the first
+    satisfiable sub-problem, which reproduces exactly what the serial backend
+    would have reported.
     """
 
     name = "process-pool"
@@ -370,50 +331,23 @@ class ProcessPoolBackend:
         trace=None,
     ) -> BackendRun:
         """Run the family on the process scheduler (budgets apply in workers)."""
-        from repro.runner.pool import family_executor
-
-        spec = solver or SolverSpec()
         started = time.perf_counter()
-        from repro.runner.pool import family_task_id
-
         pending = sum(
             1
             for index in range(len(assumption_vectors))
             if checkpoint is None or family_task_id(index) not in checkpoint
         )
-        executor = family_executor(
-            cnf,
-            processes=self.processes,
-            cost_measure=cost_measure,
-            solver=spec.name,
-            solver_options=spec.options,
-            budget=budget,
-            inline=self.processes == 1 or pending <= 1,
-        )
         outcomes, run = _run_family_scheduler(
-            assumption_vectors, executor, stop_on_sat, progress, checkpoint,
-            checkpoint_sink, checkpoint_every=checkpoint_every, trace=trace,
+            "serial" if self.processes == 1 or pending <= 1 else "process-pool",
+            cnf, assumption_vectors, solver, cost_measure, budget, stop_on_sat,
+            progress, checkpoint, checkpoint_sink, checkpoint_every, trace,
+            workers=self.processes,
         )
-        # Worker processes return ParallelSolveOutcome records; normalise.
-        pool_outcomes = [
-            outcome
-            if isinstance(outcome, SubproblemOutcome)
-            else SubproblemOutcome(
-                assumptions=outcome.assumptions,
-                status=outcome.status,
-                cost=outcome.cost,
-                wall_time=outcome.wall_time,
-                model=outcome.model,
-            )
-            for outcome in outcomes
-        ]
-        if progress is not None:
-            progress(len(pool_outcomes), len(assumption_vectors))
         metadata = {"processes": self.processes}
         metadata.update(_scheduler_metadata(run))
         return BackendRun(
             backend=self.name,
-            outcomes=pool_outcomes,
+            outcomes=outcomes,
             wall_time=time.perf_counter() - started,
             metadata=metadata,
         )
@@ -481,18 +415,12 @@ class SimulatedClusterBackend:
         from repro.runner.cluster import simulate_makespan
 
         started = time.perf_counter()
-        task_fn = _family_task_fn(cnf, solver or SolverSpec(), cost_measure, budget)
-        executor = SimulatedGridExecutor(
-            task_fn=task_fn,
-            workers=self.cores,
-            duration_of=lambda outcome: outcome.cost,
-            dispatch_latency=self.dispatch_latency,
-            failures=self.failures,
-        )
         outcomes, run = _run_family_scheduler(
-            assumption_vectors, executor, stop_on_sat, progress,
-            checkpoint, checkpoint_sink, retry=self.retry,
-            checkpoint_every=checkpoint_every, trace=trace,
+            "simulated-cluster", cnf, assumption_vectors, solver, cost_measure,
+            budget, stop_on_sat, progress, checkpoint, checkpoint_sink,
+            checkpoint_every, trace, workers=self.cores,
+            dispatch_latency=self.dispatch_latency, failures=self.failures,
+            retry=self.retry,
         )
         # The classical (fault-free) schedule of the measured costs keeps the
         # historical metadata stable and supports the LPT reference; the live
@@ -548,11 +476,10 @@ class VolunteerGridBackend:
         from repro.runner.volunteer import simulate_volunteer_grid
 
         started = time.perf_counter()
-        task_fn = _family_task_fn(cnf, solver or SolverSpec(), cost_measure, budget)
         outcomes, run = _run_family_scheduler(
-            assumption_vectors, InlineExecutor(task_fn), stop_on_sat, progress,
-            checkpoint, checkpoint_sink, checkpoint_every=checkpoint_every,
-            trace=trace,
+            "serial", cnf, assumption_vectors, solver, cost_measure, budget,
+            stop_on_sat, progress, checkpoint, checkpoint_sink, checkpoint_every,
+            trace,
         )
         simulation = simulate_volunteer_grid([o.cost for o in outcomes], self.grid_config)
         metadata = {

@@ -18,8 +18,12 @@ the thin policies that reproduce both substrates (plus a real local pool):
 * :mod:`repro.runner.volunteer` — the *simulated* BOINC-style volunteer-grid
   policy (heterogeneous, intermittently available, replicated hosts), the
   analogue of SAT@home used to reproduce the Section 4.2 experiments.
-* :mod:`repro.runner.pool` — the real-process policy for actually solving many
-  sub-problems in parallel on the local machine.
+* :mod:`repro.runner.pool` — the one row-solving kernel every path runs:
+  per-run worker state (``WorkerState``, one solver per thread) that solves a
+  task's assumption rows and returns ``SubproblemOutcome`` records, and the
+  one executor factory (``worker_executor``: inline, thread, real process
+  pool, simulated cluster) shared by scheduled estimation and every
+  execution backend.
 """
 
 from repro.runner.cluster import ClusterSimulation, simulate_makespan
@@ -28,7 +32,6 @@ from repro.runner.estimation import (
     estimate_family_scheduled,
     estimation_tasks,
 )
-from repro.runner.pool import solve_family_parallel
 from repro.runner.scheduler import (
     Completion,
     Executor,
@@ -60,7 +63,6 @@ __all__ = [
     "ScheduledEstimation",
     "estimate_family_scheduled",
     "estimation_tasks",
-    "solve_family_parallel",
     "Completion",
     "Executor",
     "FailureModel",

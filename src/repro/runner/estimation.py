@@ -22,6 +22,13 @@ with injected worker crashes, stragglers and duplicated results — and a run
 interrupted mid-trajectory resumes from its checkpoint to the same statistics
 it would have produced uninterrupted.
 
+Every executor runs the one row-solving kernel of :mod:`repro.runner.pool`
+on this run's own worker state: a sample task is one fresh solve, a batched
+task one ``solve_batch`` call, and either returns
+:class:`~repro.runner.pool.SubproblemOutcome` records.  Checkpoints keep the
+estimation format — one ``{assumptions, cost, status, wall_time}`` record per
+sample.
+
 Each sample task solves with the registry's default ``"cdcl"`` solver, the
 flat-array arena engine of :mod:`repro.sat.cdcl.solver`.  Statuses — and
 therefore these statistics with a status-independent cost measure and no
@@ -32,10 +39,11 @@ one solver configuration only.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.runner import pool as _pool
+from repro.runner.pool import SubproblemOutcome, WorkerState, decode_outcome, worker_executor
 from repro.runner.scheduler import (
     Executor,
     FailureModel,
@@ -43,7 +51,6 @@ from repro.runner.scheduler import (
     Scheduler,
     SchedulerCheckpoint,
     SchedulerRun,
-    SimulatedGridExecutor,
     Task,
     TaskGraph,
 )
@@ -54,99 +61,6 @@ from repro.stats.sampling import derive_child_seeds, sample_bits
 
 #: Executor names accepted by :func:`estimate_family_scheduled`.
 ESTIMATION_EXECUTORS = ("serial", "thread", "process-pool", "simulated-cluster")
-
-
-def _sample_task(payload: tuple[int, ...]) -> dict[str, Any]:
-    """Solve one sampled sub-instance in the primed worker (JSON-plain result)."""
-    outcome = _pool._solve_one(payload)
-    return {
-        "assumptions": list(outcome.assumptions),
-        "cost": outcome.cost,
-        "status": outcome.status.value,
-        "wall_time": outcome.wall_time,
-    }
-
-
-def _batch_task(payload: tuple[str | None, tuple[tuple[int, ...], ...]]) -> list[dict]:
-    """Solve one batch of sampled rows in the primed worker (JSON-plain rows)."""
-    return _pool._solve_batch(payload)
-
-
-def _thread_safe_batch_fn(
-    cnf: CNF,
-    cost_measure: str,
-    solver: str,
-    solver_options: Mapping[str, object] | None,
-    budget: SolverBudget | None,
-) -> Callable[[tuple[str | None, tuple[tuple[int, ...], ...]]], list[dict]]:
-    """A batch task function with one loaded solver *per thread* (see
-    :func:`_thread_safe_sample_fn` for why sharing one would race)."""
-    import threading
-
-    from repro.api.registry import get_solver
-
-    options = dict(solver_options or {})
-    factory = get_solver(solver)
-    local = threading.local()
-
-    def solve_batch(payload: tuple[str | None, tuple[tuple[int, ...], ...]]) -> list[dict]:
-        _segment, rows = payload  # threads share the parent's memory: no segment
-        worker_solver = getattr(local, "solver", None)
-        if worker_solver is None:
-            worker_solver = factory(**options).load(cnf)
-            local.solver = worker_solver
-        results = worker_solver.solve_batch([tuple(row) for row in rows], budget=budget)
-        return [
-            {
-                "assumptions": [int(lit) for lit in row],
-                "cost": result.stats.cost(cost_measure),
-                "status": result.status.value,
-                "wall_time": result.stats.wall_time,
-            }
-            for row, result in zip(rows, results)
-        ]
-
-    return solve_batch
-
-
-def _thread_safe_sample_fn(
-    cnf: CNF,
-    cost_measure: str,
-    solver: str,
-    solver_options: Mapping[str, object] | None,
-    budget: SolverBudget | None,
-) -> Callable[[tuple[int, ...]], dict[str, Any]]:
-    """A sample task function with one solver *per thread*.
-
-    A :class:`~repro.runner.scheduler.ThreadExecutor` runs attempts
-    concurrently, and a CDCL solver is stateful during ``solve`` — sharing one
-    instance across threads would race.  The CNF itself is only read, so it is
-    shared; each worker thread lazily builds its own solver from the spec, and
-    fresh-solve determinism keeps the per-sample results identical to the
-    serial executor's.
-    """
-    import threading
-
-    from repro.api.registry import get_solver
-
-    options = dict(solver_options or {})
-    factory = get_solver(solver)
-    local = threading.local()
-
-    def sample(literals: tuple[int, ...]) -> dict[str, Any]:
-        worker_solver = getattr(local, "solver", None)
-        if worker_solver is None:
-            worker_solver = factory(**options)
-            local.solver = worker_solver
-        result = worker_solver.solve(cnf, assumptions=list(literals), budget=budget)
-        return {
-            "assumptions": [int(lit) for lit in literals],
-            "cost": result.stats.cost(cost_measure),
-            "status": result.status.value,
-            "wall_time": result.stats.wall_time,
-        }
-
-    return sample
 
 
 def _sample_literals(
@@ -181,30 +95,34 @@ def estimation_tasks(
     )
 
 
-def estimation_batch_tasks(
-    variables: Sequence[int],
-    sample_size: int,
-    seed: int,
-    batch_size: int,
-    segment: str | None = None,
-) -> TaskGraph:
-    """The batched task graph: ``ceil(N / batch_size)`` tasks of up to
-    ``batch_size`` assumption rows each, in sample order.
+def _batched_tasks(rows: Sequence[tuple[int, ...]], batch_size: int) -> TaskGraph:
+    """``ceil(N / batch_size)`` tasks of up to ``batch_size`` rows each, in sample order.
 
-    ``segment`` optionally names a shared :class:`~repro.sat.cdcl.image
-    .ArenaImage` segment; with it, a task payload is just
-    ``(segment name, assumption rows)`` — the zero-copy worker protocol.
-    Concatenating the per-task result lists in task order reproduces sample
+    Concatenating the per-task outcome lists in task order reproduces sample
     order exactly, so the leader's fold is the serial fold.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    rows = _sample_literals(variables, sample_size, seed)
-    tasks = []
-    for index, begin in enumerate(range(0, len(rows), batch_size)):
-        chunk = rows[begin : begin + batch_size]
-        tasks.append(Task(task_id=f"batch-{index:06d}", payload=(segment, chunk)))
-    return TaskGraph(tasks)
+    return TaskGraph(
+        Task(task_id=f"batch-{index:06d}", payload=tuple(rows[begin : begin + batch_size]))
+        for index, begin in enumerate(range(0, len(rows), batch_size))
+    )
+
+
+def _encode_sample(outcome: SubproblemOutcome) -> dict[str, Any]:
+    """One sample's checkpoint record (the estimation checkpoint format)."""
+    return {
+        "assumptions": list(outcome.assumptions),
+        "cost": outcome.cost,
+        "status": outcome.status.value,
+        "wall_time": outcome.wall_time,
+    }
+
+
+def _encode_batch(outcomes: Sequence[SubproblemOutcome]) -> list[dict[str, Any]]:
+    return [_encode_sample(outcome) for outcome in outcomes]
+
+
+def _decode_batch(records: Sequence[dict[str, Any]]) -> list[SubproblemOutcome]:
+    return [decode_outcome(record) for record in records]
 
 
 @dataclass
@@ -232,143 +150,6 @@ class ScheduledEstimation:
         return self.statistics.estimate(confidence_level)
 
 
-def _resolve_executor(
-    executor: str | Executor,
-    cnf: CNF,
-    cost_measure: str,
-    solver: str,
-    solver_options: Mapping[str, object] | None,
-    budget: SolverBudget | None,
-    processes: int | None,
-    cores: int,
-    failures: FailureModel | None,
-) -> Executor:
-    if not isinstance(executor, str):
-        return executor
-    if executor not in ESTIMATION_EXECUTORS:
-        raise ValueError(
-            f"unknown estimation executor {executor!r}; expected one of "
-            f"{ESTIMATION_EXECUTORS} or an Executor instance"
-        )
-    if executor in ("serial", "simulated-cluster"):
-        # Prime the in-process worker state once; these executors run the
-        # sample task function sequentially in this process.
-        _pool._init_worker(cnf, cost_measure, False, solver, dict(solver_options or {}), budget)
-    if executor == "serial":
-        from repro.runner.scheduler import InlineExecutor
-
-        return InlineExecutor(task_fn=_sample_task)
-    if executor == "thread":
-        from repro.runner.scheduler import ThreadExecutor
-
-        # One solver per thread — attempts run concurrently, and sharing the
-        # module-level worker state across threads would race.
-        return ThreadExecutor(
-            task_fn=_thread_safe_sample_fn(cnf, cost_measure, solver, solver_options, budget),
-            num_workers=processes or 4,
-        )
-    if executor == "simulated-cluster":
-        return SimulatedGridExecutor(
-            task_fn=_sample_task,
-            workers=cores,
-            duration_of=lambda result: result["cost"],
-            failures=failures,
-        )
-    # process-pool: the worker state is installed by the pool initializer.
-    import multiprocessing
-
-    from repro.runner.scheduler import ProcessExecutor
-
-    return ProcessExecutor(
-        task_fn=_sample_task,
-        num_workers=processes or multiprocessing.cpu_count(),
-        initializer=_pool._init_worker,
-        initargs=(cnf, cost_measure, False, solver, dict(solver_options or {}), budget),
-    )
-
-
-def _resolve_batch_executor(
-    executor: str | Executor,
-    cnf: CNF,
-    cost_measure: str,
-    solver: str,
-    solver_options: Mapping[str, object] | None,
-    budget: SolverBudget | None,
-    processes: int | None,
-    cores: int,
-    failures: FailureModel | None,
-):
-    """Resolve the executor for batched tasks; returns ``(executor, shared image)``.
-
-    Only the process-pool path builds a shared image: the leader freezes the
-    clause database once (:meth:`~repro.sat.cdcl.image.ArenaImage.freeze`) and
-    shares it, workers attach read-only, and task payloads shrink to (segment
-    name, assumption rows).  The caller owns the returned image and must
-    ``unlink`` it when the run completes.  In-process executors pass the CNF
-    through the worker state instead — same results, no segment to leak.
-    """
-    if not isinstance(executor, str):
-        return executor, None
-    if executor not in ESTIMATION_EXECUTORS:
-        raise ValueError(
-            f"unknown estimation executor {executor!r}; expected one of "
-            f"{ESTIMATION_EXECUTORS} or an Executor instance"
-        )
-    options = dict(solver_options or {})
-    if executor in ("serial", "simulated-cluster"):
-        _pool._init_worker(cnf, cost_measure, False, solver, options, budget)
-    if executor == "serial":
-        from repro.runner.scheduler import InlineExecutor
-
-        return InlineExecutor(task_fn=_batch_task), None
-    if executor == "thread":
-        from repro.runner.scheduler import ThreadExecutor
-
-        return (
-            ThreadExecutor(
-                task_fn=_thread_safe_batch_fn(cnf, cost_measure, solver, solver_options, budget),
-                num_workers=processes or 4,
-            ),
-            None,
-        )
-    if executor == "simulated-cluster":
-        return (
-            SimulatedGridExecutor(
-                task_fn=_batch_task,
-                workers=cores,
-                duration_of=lambda result: sum(row["cost"] for row in result),
-                failures=failures,
-            ),
-            None,
-        )
-    import multiprocessing
-
-    from repro.runner.scheduler import ProcessExecutor
-
-    shared = None
-    if solver == "cdcl" and not options.get("simplify"):
-        from repro.sat.cdcl.config import CDCLConfig
-        from repro.sat.cdcl.image import ArenaImage
-
-        shared = ArenaImage.freeze(cnf, CDCLConfig(**options)).share()
-    # With a shared image the initializer ships no CNF at all; without one
-    # (non-arena solver) the CNF rides in the initializer exactly once per
-    # worker, like the scalar path.
-    initargs = (
-        None if shared is not None else cnf,
-        cost_measure, False, solver, options, budget,
-    )
-    return (
-        ProcessExecutor(
-            task_fn=_batch_task,
-            num_workers=processes or multiprocessing.cpu_count(),
-            initializer=_pool._init_worker,
-            initargs=initargs,
-        ),
-        shared,
-    )
-
-
 def estimate_family_scheduled(
     cnf: CNF,
     variables: Sequence[int],
@@ -392,9 +173,13 @@ def estimate_family_scheduled(
 ) -> ScheduledEstimation:
     """Evaluate the predictive function's sample through a scheduler executor.
 
-    ``executor`` is ``"serial"``, ``"thread"``, ``"process-pool"``,
-    ``"simulated-cluster"`` or any :class:`~repro.runner.scheduler.Executor`.
-    For a fixed ``(cnf, variables, sample_size, seed)`` every executor returns
+    ``executor`` is ``"serial"``, ``"thread"``, ``"process-pool"`` or
+    ``"simulated-cluster"`` — built by :func:`repro.runner.pool.worker_executor`
+    around one :class:`~repro.runner.pool.WorkerState` for this run — or any
+    :class:`~repro.runner.scheduler.Executor` whose task function returns
+    what that kernel returns (a :class:`~repro.runner.pool.SubproblemOutcome`
+    per one-row task, a list of them per batched task).  For a fixed
+    ``(cnf, variables, sample_size, seed)`` every executor returns
     bit-identical statistics; the simulated executor additionally accepts a
     :class:`~repro.runner.scheduler.FailureModel` whose injected faults change
     the virtual makespan but never the statistics.  ``checkpoint`` /
@@ -416,48 +201,41 @@ def estimate_family_scheduled(
     ordered = tuple(sorted(set(int(v) for v in variables)))
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    shared = None
-    if batch_size == 1:
+    batched = batch_size > 1
+    if batched:
+        graph = _batched_tasks(_sample_literals(ordered, sample_size, seed), batch_size)
+        encode, decode = _encode_batch, _decode_batch
+    else:
         graph = estimation_tasks(ordered, sample_size, seed)
-        resolved = _resolve_executor(
-            executor, cnf, cost_measure, solver, solver_options, budget,
-            processes, cores, failures,
+        encode, decode = _encode_sample, decode_outcome
+    if isinstance(executor, str):
+        if executor not in ESTIMATION_EXECUTORS:
+            raise ValueError(
+                f"unknown estimation executor {executor!r}; expected one of "
+                f"{ESTIMATION_EXECUTORS} or an Executor instance"
+            )
+        state = WorkerState(cnf, solver, solver_options, cost_measure, budget, batched)
+        executors = worker_executor(
+            executor,
+            state,
+            workers=cores if executor == "simulated-cluster" else processes,
+            failures=failures,
         )
     else:
-        if isinstance(executor, str):
-            from repro.api.registry import get_solver
-
-            probe = get_solver(solver)(**dict(solver_options or {}))
-            if not hasattr(probe, "solve_batch"):
-                raise ValueError(
-                    f"batch_size={batch_size} requires a solver with solve_batch "
-                    f"(the arena 'cdcl' engine); {solver!r} does not expose it"
-                )
-        resolved, shared = _resolve_batch_executor(
-            executor, cnf, cost_measure, solver, solver_options, budget,
-            processes, cores, failures,
-        )
-        graph = estimation_batch_tasks(
-            ordered, sample_size, seed, batch_size,
-            segment=shared.name if shared is not None else None,
-        )
-    try:
+        executors = nullcontext(executor)
+    with executors as resolved:
         run = Scheduler(
             graph,
             resolved,
             retry=retry or RetryPolicy(max_attempts=5),
             checkpoint=checkpoint,
+            result_decoder=decode,
             checkpoint_sink=checkpoint_sink,
+            result_encoder=encode,
             checkpoint_every=checkpoint_every,
             interrupt_after=interrupt_after,
             trace=trace,
         ).run()
-    finally:
-        if shared is not None:
-            # The leader owns the segment: destroy it however the run ended.
-            # Workers keep their existing mappings (POSIX), so in-flight
-            # attempts cannot crash on the unlink.
-            shared.unlink()
     if run.failed:
         task_id, error = next(iter(run.failed.items()))
         raise RuntimeError(
@@ -465,18 +243,18 @@ def estimate_family_scheduled(
             f"(first: {task_id}: {error})"
         )
 
-    values = run.values_in_order()
-    if batch_size > 1:
+    outcomes = run.values_in_order()
+    if batched:
         # Task order × within-task row order == sample order: flattening
         # reproduces the serial fold exactly.
-        values = [row for chunk in values for row in chunk]
+        outcomes = [outcome for chunk in outcomes for outcome in chunk]
     statistics = OnlineStatistics()
     costs: list[float] = []
     statuses: list[str] = []
-    for value in values:
-        costs.append(float(value["cost"]))
-        statuses.append(str(value["status"]))
-        statistics.add(float(value["cost"]))
+    for outcome in outcomes:
+        costs.append(outcome.cost)
+        statuses.append(outcome.status.value)
+        statistics.add(outcome.cost)
     return ScheduledEstimation(
         variables=ordered,
         sample_size=sample_size,

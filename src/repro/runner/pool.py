@@ -1,42 +1,57 @@
-"""Real parallel solving of decomposition families on worker processes.
+"""The row-solving kernel, its per-run worker state and the executor factory.
 
-The simulated cluster (:mod:`repro.runner.cluster`) is what the benchmarks use
-— it is deterministic and does not depend on the local core count — but users
-who want to actually burn their cores on a family can use
-:func:`solve_family_parallel`.  Workers receive the CNF once (via the process
-initializer) and solve one assumption vector per task, exactly like PDSAT's
-computing processes receive sub-problems from the leader.
+PDSAT's leader hands sub-problems to computing processes that each run one
+solver on assumption rows — a sample of them in estimating mode, the whole
+decomposition family in solving mode.  That one job is written once here:
 
-This module is the process policy of the unified scheduler
-(:mod:`repro.runner.scheduler`): :func:`family_executor` primes a
-:class:`~repro.runner.scheduler.ProcessExecutor` with the worker state (CNF,
-solver, cost measure), and :func:`solve_family_parallel` runs the family task
-graph through the :class:`~repro.runner.scheduler.Scheduler`, which adds what
-the old bespoke pool never had — retry budgets for dying workers and results
-that are reported in task order regardless of completion order.
+* :class:`WorkerState` is the state of one run — the formula, the solver
+  spec, the cost measure and the per-call budget — with one solver per
+  thread.  Calling it with a task payload is the row-solving kernel: it
+  solves the task's rows against the run's formula and returns
+  :class:`SubproblemOutcome` records.  A batched state's tasks carry a tuple
+  of rows, solved together by ``solve_batch``; every other task carries one
+  row, solved by a fresh ``solve(cnf, row)``.
+* :func:`worker_executor` is the one executor factory: serial (inline),
+  thread, real process pool or simulated virtual-clock cluster, each running
+  the same kernel.  Scheduled estimation
+  (:mod:`repro.runner.estimation`) and every execution backend
+  (:mod:`repro.api.backends`) build their executors through it.
+
+Because the state belongs to one run, concurrent runs in one process — two
+daemon workers, or a process pool that degraded to threads — never share a
+solver.  Worker processes receive the state once, through the pool
+initializer; each task then pickles only a reference to it, so a task ships
+nothing but its assumption rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import os
+import threading
+import uuid
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Any
 
-from repro.api.registry import get_cost_measure, get_solver
+from repro.api.registry import get_solver
 from repro.runner.scheduler import (
+    Executor,
+    FailureModel,
     InlineExecutor,
     ProcessExecutor,
-    RetryPolicy,
-    Scheduler,
+    SimulatedGridExecutor,
     Task,
     TaskGraph,
+    ThreadExecutor,
 )
 from repro.sat.formula import CNF
-from repro.sat.solver import Solver, SolverBudget, SolverStatus
+from repro.sat.solver import SolverBudget, SolverStatus
 
 
-@dataclass
-class ParallelSolveOutcome:
-    """Outcome of solving one sub-problem in a worker process."""
+@dataclass(frozen=True)
+class SubproblemOutcome:
+    """Outcome of one sub-problem: an assumption row solved against the formula."""
 
     assumptions: tuple[int, ...]
     status: SolverStatus
@@ -45,93 +60,217 @@ class ParallelSolveOutcome:
     model: dict[int, bool] | None = None
 
 
-_WORKER_STATE: dict[str, object] = {}
+def encode_outcome(outcome: SubproblemOutcome) -> dict[str, Any]:
+    """JSON-plain representation of an outcome (the family checkpoint format)."""
+    return {
+        "assumptions": list(outcome.assumptions),
+        "status": outcome.status.value,
+        "cost": outcome.cost,
+        "wall_time": outcome.wall_time,
+        "model": (
+            {str(var): value for var, value in outcome.model.items()}
+            if outcome.model is not None
+            else None
+        ),
+    }
 
 
-def _init_worker(
-    cnf: CNF,
-    cost_measure: str,
-    keep_models: bool,
-    solver: str,
-    solver_options: Mapping[str, object],
-    budget: SolverBudget | None,
-) -> None:
-    _WORKER_STATE["cnf"] = cnf
-    _WORKER_STATE["cost_measure"] = cost_measure
-    _WORKER_STATE["keep_models"] = keep_models
-    _WORKER_STATE["solver"] = get_solver(solver)(**dict(solver_options))
-    _WORKER_STATE["budget"] = budget
-    # Re-priming invalidates any batch solver loaded for the previous formula.
-    _WORKER_STATE.pop("batch_key", None)
-    _WORKER_STATE.pop("batch_image", None)
-
-
-def _solve_one(assumptions: tuple[int, ...]) -> ParallelSolveOutcome:
-    cnf: CNF = _WORKER_STATE["cnf"]  # type: ignore[assignment]
-    solver: Solver = _WORKER_STATE["solver"]  # type: ignore[assignment]
-    cost_measure: str = _WORKER_STATE["cost_measure"]  # type: ignore[assignment]
-    keep_models: bool = _WORKER_STATE["keep_models"]  # type: ignore[assignment]
-    budget: SolverBudget | None = _WORKER_STATE["budget"]  # type: ignore[assignment]
-    result = solver.solve(cnf, assumptions=list(assumptions), budget=budget)
-    return ParallelSolveOutcome(
-        assumptions=tuple(assumptions),
-        status=result.status,
-        cost=result.stats.cost(cost_measure),
-        wall_time=result.stats.wall_time,
-        model=result.model if (keep_models and result.is_sat) else None,
+def decode_outcome(data: dict[str, Any]) -> SubproblemOutcome:
+    """Inverse of :func:`encode_outcome` (a record without ``model`` decodes to none)."""
+    model = data.get("model")
+    return SubproblemOutcome(
+        assumptions=tuple(int(lit) for lit in data["assumptions"]),
+        status=SolverStatus(data["status"]),
+        cost=float(data["cost"]),
+        wall_time=float(data["wall_time"]),
+        model=(
+            {int(var): bool(value) for var, value in model.items()}
+            if model is not None
+            else None
+        ),
     )
 
 
-def _batch_solver(segment: str | None):
-    """The worker's batch solver, loaded once per formula (zero-copy protocol).
+class WorkerState:
+    """The worker state of one run, with one solver per thread.
 
-    ``segment`` names a :class:`~repro.sat.cdcl.image.ArenaImage` shared-memory
-    segment to attach read-only (the leader froze the clause database once;
-    every worker maps the same physical pages and rebuilds from them via
-    ``load_image`` — no CNF pickling, no per-clause normalisation).  ``None``
-    falls back to loading the CNF the initializer installed, which is what the
-    serial/simulated executors use.  The loaded solver is cached per key, so a
-    worker pays the load exactly once however many batch tasks it runs; the
-    attachment is held for the worker's lifetime (an attachment does not keep
-    an unlinked segment's name alive, so this cannot leak segments).
+    ``formula`` is a CNF, or — inside pool workers of a batched run on the
+    arena engine — the name of a shared read-only
+    :class:`~repro.sat.cdcl.image.ArenaImage` segment.  The solver is built
+    from the ``solver`` registry name and ``solver_options`` here, so an
+    unknown name or option fails in the caller, not in a worker.
+
+    Pickling a state yields a reference to the copy
+    :func:`worker_executor`'s pool initializer installed in the worker
+    process, never the formula itself.
     """
-    solver = _WORKER_STATE["solver"]
-    key = segment if segment is not None else "<initializer-cnf>"
-    if _WORKER_STATE.get("batch_key") != key:
-        if segment is not None:
-            from repro.sat.cdcl.image import ArenaImage
 
-            image = ArenaImage.attach(segment)
-            _WORKER_STATE["batch_image"] = image
-            solver.load_image(image)
+    def __init__(
+        self,
+        formula: CNF | str,
+        solver: str = "cdcl",
+        solver_options: Mapping[str, object] | None = None,
+        cost_measure: str = "propagations",
+        budget: SolverBudget | None = None,
+        batched: bool = False,
+    ):
+        self.formula = formula
+        self.solver = solver
+        self.options = dict(solver_options or {})
+        self.cost_measure = cost_measure
+        self.budget = budget
+        self.batched = batched
+        self.token = uuid.uuid4().hex
+        self._factory = get_solver(solver)
+        probe = self._factory(**self.options)
+        if batched and not hasattr(probe, "solve_batch"):
+            raise ValueError(
+                f"batch_size > 1 requires a solver with solve_batch (the arena "
+                f"'cdcl' engine); {solver!r} does not expose it"
+            )
+        self._local = threading.local()
+
+    def __call__(self, payload):
+        """The row-solving kernel: solve one task's rows against the formula.
+
+        A batched task's payload is a tuple of rows and its value the list of
+        their outcomes in row order; any other task's payload is one row and
+        its value that row's outcome.  Models are kept for SAT rows.
+        """
+        solver = self._thread_solver()
+        if self.batched:
+            rows = [tuple(int(lit) for lit in row) for row in payload]
+            results = solver.solve_batch(rows, budget=self.budget)
         else:
-            solver.load(_WORKER_STATE["cnf"])
-        _WORKER_STATE["batch_key"] = key
-    return solver
+            rows = [tuple(int(lit) for lit in payload)]
+            results = [solver.solve(self.formula, assumptions=list(rows[0]), budget=self.budget)]
+        outcomes = [
+            SubproblemOutcome(
+                assumptions=row,
+                status=result.status,
+                cost=result.stats.cost(self.cost_measure),
+                wall_time=result.stats.wall_time,
+                model=result.model if result.is_sat else None,
+            )
+            for row, result in zip(rows, results)
+        ]
+        return outcomes if self.batched else outcomes[0]
+
+    def _thread_solver(self):
+        """This thread's solver; a batched state's is loaded with the formula once.
+
+        A fresh ``solve(cnf, row)`` re-initialises the solver, so one solver
+        per thread behaves exactly like a fresh solver per row — and a retried
+        attempt reproduces its original result bit for bit.
+        """
+        solver = getattr(self._local, "solver", None)
+        if solver is None:
+            solver = self._factory(**self.options)
+            if self.batched and isinstance(self.formula, str):
+                from repro.sat.cdcl.image import ArenaImage
+
+                # The attachment lives as long as this thread's solver; it
+                # does not keep the leader's unlinked segment alive.
+                self._local.image = ArenaImage.attach(self.formula)
+                solver.load_image(self._local.image)
+            elif self.batched:
+                solver.load(self.formula)
+            self._local.solver = solver
+        return solver
+
+    def __reduce__(self):
+        return (_installed_state, (self.token,))
 
 
-def _solve_batch(payload: tuple[str | None, tuple[tuple[int, ...], ...]]) -> list[dict]:
-    """Solve one batch of assumption rows in the primed worker (JSON-plain rows).
+#: Worker states installed in this worker process by the pool initializer.
+_INSTALLED: dict[str, WorkerState] = {}
 
-    The payload is ``(segment name or None, rows)`` — with a shared image the
-    whole formula rides in the segment name, shrinking per-task pickles to the
-    assumption bits.  Results come back in row order as the same plain dicts
-    the scalar sample task produces, so the leader's fold is unchanged.
+
+def _install_state(owner_pid: int, token: str, *ingredients) -> None:
+    """Pool initializer: rebuild a run's worker state inside a worker process.
+
+    The process that built the state holds it already — a degraded pool's
+    threads call it directly — so there the initializer installs nothing.
     """
-    segment, rows = payload
-    solver = _batch_solver(segment)
-    cost_measure: str = _WORKER_STATE["cost_measure"]  # type: ignore[assignment]
-    budget: SolverBudget | None = _WORKER_STATE["budget"]  # type: ignore[assignment]
-    results = solver.solve_batch([tuple(row) for row in rows], budget=budget)
-    return [
-        {
-            "assumptions": [int(lit) for lit in row],
-            "cost": result.stats.cost(cost_measure),
-            "status": result.status.value,
-            "wall_time": result.stats.wall_time,
-        }
-        for row, result in zip(rows, results)
-    ]
+    if os.getpid() != owner_pid:
+        state = WorkerState(*ingredients)
+        state.token = token
+        _INSTALLED[token] = state
+
+
+def _installed_state(token: str) -> WorkerState:
+    return _INSTALLED[token]
+
+
+@contextmanager
+def worker_executor(
+    name: str,
+    state: WorkerState,
+    workers: int | None = None,
+    dispatch_latency: float = 0.0,
+    failures: FailureModel | None = None,
+) -> Iterator[Executor]:
+    """The executor ``name`` running ``state``'s kernel — the one executor factory.
+
+    * ``"serial"`` — attempts run inline, in the calling thread;
+    * ``"thread"`` — on ``workers`` threads (default 4);
+    * ``"process-pool"`` — on ``workers`` worker processes (default: every
+      core).  The state travels once per worker through the pool
+      initializer.  A batched state on the arena engine ships its formula as
+      one shared read-only :class:`~repro.sat.cdcl.image.ArenaImage` segment
+      instead of a pickled CNF; the segment's name rides in the initializer
+      and the segment is unlinked when the block exits, however it exits;
+    * ``"simulated-cluster"`` — on ``workers`` virtual cores (default 8) of a
+      :class:`~repro.runner.scheduler.SimulatedGridExecutor`, where a task
+      occupies its core for its rows' summed cost, plus ``dispatch_latency``
+      and whatever ``failures`` injects.
+
+    The scheduler closes the executor; this block owns only the segment.
+    """
+    shared = None
+    try:
+        if name == "serial":
+            yield InlineExecutor(task_fn=state)
+        elif name == "thread":
+            yield ThreadExecutor(task_fn=state, num_workers=workers or 4)
+        elif name == "simulated-cluster":
+            yield SimulatedGridExecutor(
+                task_fn=state,
+                workers=workers or 8,
+                duration_of=(
+                    (lambda outcomes: sum(outcome.cost for outcome in outcomes))
+                    if state.batched
+                    else (lambda outcome: outcome.cost)
+                ),
+                dispatch_latency=dispatch_latency,
+                failures=failures,
+            )
+        elif name == "process-pool":
+            import multiprocessing
+
+            formula = state.formula
+            if state.batched and state.solver == "cdcl" and not state.options.get("simplify"):
+                from repro.sat.cdcl.config import CDCLConfig
+                from repro.sat.cdcl.image import ArenaImage
+
+                shared = ArenaImage.freeze(formula, CDCLConfig(**state.options)).share()
+                formula = shared.name
+            yield ProcessExecutor(
+                task_fn=state,
+                num_workers=workers or multiprocessing.cpu_count(),
+                initializer=_install_state,
+                initargs=(
+                    os.getpid(), state.token, formula, state.solver, state.options,
+                    state.cost_measure, state.budget, state.batched,
+                ),
+            )
+        else:
+            raise ValueError(f"unknown executor {name!r}")
+    finally:
+        if shared is not None:
+            # Workers keep their existing mappings (POSIX), so in-flight
+            # attempts cannot crash on the unlink.
+            shared.unlink()
 
 
 def family_task_id(index: int) -> str:
@@ -150,79 +289,3 @@ def family_tasks(assumption_vectors: Sequence[Sequence[int]]) -> TaskGraph:
         for index, vector in enumerate(assumption_vectors)
     )
 
-
-def family_executor(
-    cnf: CNF,
-    processes: int | None = None,
-    cost_measure: str = "propagations",
-    keep_models: bool = True,
-    solver: str = "cdcl",
-    solver_options: Mapping[str, object] | None = None,
-    budget: SolverBudget | None = None,
-    inline: bool = False,
-):
-    """The executor for family/estimation tasks: real processes or inline.
-
-    ``inline=True`` (or ``processes=1``) primes the worker state in the
-    calling process and returns an :class:`InlineExecutor` — bit-identical
-    results without the spawn cost, the serial policy of the scheduler.
-    """
-    initargs = (
-        cnf, cost_measure, keep_models, solver, dict(solver_options or {}), budget,
-    )
-    if inline or processes == 1:
-        _init_worker(*initargs)
-        return InlineExecutor(task_fn=_solve_one)
-    import multiprocessing
-
-    return ProcessExecutor(
-        task_fn=_solve_one,
-        num_workers=processes or multiprocessing.cpu_count(),
-        initializer=_init_worker,
-        initargs=initargs,
-    )
-
-
-def solve_family_parallel(
-    cnf: CNF,
-    assumption_vectors: Sequence[Sequence[int]],
-    processes: int | None = None,
-    cost_measure: str = "propagations",
-    keep_models: bool = True,
-    solver: str = "cdcl",
-    solver_options: Mapping[str, object] | None = None,
-    budget: SolverBudget | None = None,
-    retry: RetryPolicy | None = None,
-) -> list[ParallelSolveOutcome]:
-    """Solve ``cnf`` under each assumption vector using the process scheduler.
-
-    Results are returned in the order of ``assumption_vectors``.  With
-    ``processes=1`` everything runs in the calling process (useful in tests and
-    on platforms where spawning is expensive).  ``solver`` is a solver-registry
-    name; each worker builds its own instance from ``solver_options``, exactly
-    like PDSAT's computing processes each ran their own MiniSat.  Attempts on
-    workers that die are retried up to ``retry.max_attempts`` (default 3);
-    a task that exhausts its budget raises ``RuntimeError``.
-    """
-    graph = family_tasks(assumption_vectors)
-    if processes is not None and processes < 1:
-        raise ValueError("processes must be at least 1")
-    get_cost_measure(cost_measure)  # fail fast in the parent, not in the workers
-    executor = family_executor(
-        cnf,
-        processes=processes,
-        cost_measure=cost_measure,
-        keep_models=keep_models,
-        solver=solver,
-        solver_options=solver_options,
-        budget=budget,
-        inline=processes == 1 or len(graph) <= 1,
-    )
-    run = Scheduler(graph, executor, retry=retry or RetryPolicy(max_attempts=3)).run()
-    if run.failed:
-        task_id, error = next(iter(run.failed.items()))
-        raise RuntimeError(
-            f"{len(run.failed)} sub-problems failed after retries "
-            f"(first: {task_id}: {error})"
-        )
-    return run.values_in_order()

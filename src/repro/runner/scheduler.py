@@ -5,9 +5,10 @@ PDSAT's leader process, the SAT@home server and the library's own
 independent (or dependency-ordered) tasks — estimation samples, partition
 sub-problems — must be dispatched to unreliable workers, retried on failure,
 deduplicated on replication, and folded into results that do not depend on the
-execution interleaving.  This module is that one scheduler; the historical
-modules :mod:`repro.runner.pool`, :mod:`repro.runner.cluster` and
-:mod:`repro.runner.volunteer` are thin policies over it.
+execution interleaving.  This module is that one scheduler; the
+row-solving kernel and executor factory of :mod:`repro.runner.pool`, and the
+simulations of :mod:`repro.runner.cluster` and :mod:`repro.runner.volunteer`,
+are thin policies over it.
 
 Architecture
 ------------
@@ -16,11 +17,11 @@ Architecture
   payload plus optional dependency edges) and the validated DAG of them.
 * :class:`Executor` implementations — where attempts actually run:
   :class:`InlineExecutor` (calling thread), :class:`ThreadExecutor`,
-  :class:`ProcessExecutor` (real processes, built in
-  :mod:`repro.runner.pool`), and :class:`SimulatedGridExecutor` — a
-  deterministic virtual-clock cluster with configurable worker speeds,
-  dispatch latency and a seeded :class:`FailureModel` injecting worker
-  crashes, stragglers and duplicated results.
+  :class:`ProcessExecutor` (real processes), and
+  :class:`SimulatedGridExecutor` — a deterministic virtual-clock cluster
+  with configurable worker speeds, dispatch latency and a seeded
+  :class:`FailureModel` injecting worker crashes, stragglers and duplicated
+  results.
 * :class:`Scheduler` — the leader loop: per-worker queues with optional
   work-stealing, per-task retry/timeout budgets (:class:`RetryPolicy`),
   replication/quorum (the BOINC substrate), checkpoint/resume
@@ -329,11 +330,13 @@ def _run_pickled_payload(task_fn: Callable[[Any], Any], blob: bytes) -> Any:
 class ProcessExecutor:
     """Attempts run in real worker processes (the PDSAT computing processes).
 
-    ``task_fn`` must be a module-level (picklable) function; per-worker state
-    (the CNF, the solver) is installed by ``initializer(*initargs)`` exactly
-    like :mod:`repro.runner.pool` primes its workers.  A worker process dying
-    mid-attempt surfaces as a ``crash`` completion and the pool is rebuilt, so
-    the scheduler's retry budget covers real worker loss, not only exceptions.
+    ``task_fn`` must be picklable, and is pickled with every attempt, so it
+    should pickle small: a module-level function, or — like
+    :class:`repro.runner.pool.WorkerState` — an object that pickles as a
+    reference to a copy ``initializer(*initargs)`` installed in each worker
+    process once.  A worker process dying mid-attempt surfaces as a
+    ``crash`` completion and the pool is rebuilt, so the scheduler's retry
+    budget covers real worker loss, not only exceptions.
 
     Payloads are pickled once per task (not per attempt) and shipped as byte
     blobs via :func:`_run_pickled_payload`; the blob cache is dropped as soon
@@ -344,10 +347,14 @@ class ProcessExecutor:
     ``fork``/semaphores in the environment) or keeps breaking
     (``MAX_POOL_BREAKS`` consecutive rebuild-worthy crashes), the executor
     falls back to an in-process thread pool: slower (the GIL) but it keeps
-    serving.  The fallback emits a ``RuntimeWarning`` and is recorded in
-    ``degraded_reason``, which :meth:`Scheduler.run` copies into
-    ``run.metadata["executor_fallback"]`` so callers can see the run did not
-    get real process isolation.
+    serving.  The threads call ``task_fn`` itself, after running the
+    initializer once in this process.  For the runner's
+    :class:`~repro.runner.pool.WorkerState` that means this run's own
+    state, with one solver per thread, so the results are identical to the
+    process pool's — and to any other run sharing the process.  The fallback
+    emits a ``RuntimeWarning`` and is recorded in ``degraded_reason``, which
+    :meth:`Scheduler.run` copies into ``run.metadata["executor_fallback"]``
+    so callers can see the run did not get real process isolation.
     """
 
     name = "process-pool"

@@ -17,7 +17,7 @@ one flat ``int64`` buffer:
   processes can map the same physical pages;
 * :meth:`ArenaImage.attach` maps an existing segment **read-only** (writes
   through the exposed buffer raise ``TypeError``), giving workers a zero-copy
-  view: task payloads shrink to ``(segment name, assumption bits, seed)``;
+  view: a worker needs only the segment name, never a pickled CNF;
 * :meth:`~repro.sat.cdcl.solver.CDCLSolver.load_image` rebuilds a solver from
   an image without re-normalising a single clause — bit-identical to
   ``load(cnf)`` on the original formula, at a fraction of the cost.

@@ -422,9 +422,11 @@ class CDCLSolver:
         (one Python big-int bit per sample, mirroring
         ``lfsr.pack_state_columns``/``run_batch``), and only rows that hit a
         conflict fall back to an exact scalar solve from a restored pristine
-        snapshot.  Statuses, models, stats and conflict activity are
-        bit-identical to the scalar path; see ``tests/test_differential_fuzz.py
-        ::TestBatchedVsScalar``.
+        snapshot.  Statuses, models, stats counters and conflict activity
+        are bit-identical to the scalar path; see
+        ``tests/test_differential_fuzz.py::TestBatchedVsScalar``.  Each row's
+        ``wall_time`` carries an even share of the batch's shared work, so
+        the rows' wall times sum to the call's elapsed time.
         """
         from repro.sat.cdcl.batch import solve_batch_rows
 

@@ -249,3 +249,49 @@ class TestEngineRegistry:
     def test_both_factories_accept_config_options(self):
         arena = get_solver("cdcl")(restart_base=32)
         assert arena.config.restart_base == 32
+
+
+class TestBatchWallTime:
+    """``solve_batch`` charges each row an even share of the batch's shared work.
+
+    The snapshot restores and the lockstep root propagation serve every row
+    of a batch; without the share, a ``wall_time`` cost measure would read
+    low by exactly that time.
+    """
+
+    ROWS = [(1,), (-1, 2), (3,), (-2, -3)]
+
+    def test_shared_work_is_spread_evenly(self, monkeypatch):
+        import time
+
+        from repro.sat.cdcl import batch
+
+        solver = CDCLSolver().load(random_ksat(10, 42, k=3, seed=77))
+        clock = {"now": 0.0}
+        monkeypatch.setattr(time, "perf_counter", lambda: clock["now"])
+        lockstep_run = batch._LockstepBatch.run
+
+        def slow_lockstep_run(self):
+            lockstep_run(self)
+            clock["now"] += 8.0
+
+        monkeypatch.setattr(batch._LockstepBatch, "run", slow_lockstep_run)
+        results = solver.solve_batch(self.ROWS)
+        assert [result.stats.wall_time for result in results] == [2.0] * 4
+
+    def test_row_wall_times_sum_to_the_call(self, monkeypatch):
+        import itertools
+        import time
+
+        solver = CDCLSolver().load(random_ksat(10, 42, k=3, seed=77))
+        ticks = itertools.count()
+        reads: list[float] = []
+
+        def ticking_clock() -> float:
+            reads.append(float(next(ticks)))
+            return reads[-1]
+
+        monkeypatch.setattr(time, "perf_counter", ticking_clock)
+        results = solver.solve_batch(self.ROWS)
+        monkeypatch.undo()
+        assert sum(result.stats.wall_time for result in results) == reads[-1] - reads[0]

@@ -1,14 +1,39 @@
-"""Tests for the simulated cluster and the multiprocessing pool."""
+"""Tests for the simulated cluster, the process pool and the row-solving kernel.
+
+Every runner path — the four execution backends and scheduled estimation on
+any executor — runs one kernel on per-run worker state.  The race tests below
+pin what that buys: a process pool that degraded to threads, and two runs
+sharing one process, each return exactly the serial results.
+"""
 
 from __future__ import annotations
 
+import json
+import shutil
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
+from repro.api import Experiment, ExperimentConfig
+from repro.api.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    SimulatedClusterBackend,
+    VolunteerGridBackend,
+)
+from repro.api.specs import BackendSpec, InstanceSpec
 from repro.ciphers import Geffe
+from repro.core.decomposition import DecompositionSet
 from repro.problems import make_inversion_instance
 from repro.runner.cluster import simulate_makespan
-from repro.runner.pool import solve_family_parallel
+from repro.runner.estimation import estimate_family_scheduled
+from repro.runner.scheduler import SchedulerCheckpoint
 from repro.sat.solver import SolverStatus
+
+#: Checkpoints written by the code before the row-solving kernel existed.
+DATA = Path(__file__).parent / "data"
 
 
 class TestMakespanSimulation:
@@ -63,39 +88,259 @@ class TestMakespanSimulation:
 
 
 class TestParallelPool:
+    """``ProcessPoolBackend``: the real-process policy of the shared family path."""
+
     @pytest.fixture(scope="class")
     def instance(self):
         return make_inversion_instance(Geffe.tiny(), keystream_length=24, seed=2)
 
     def test_sequential_fallback(self, instance):
         vectors = [[v] for v in instance.start_set[:4]]
-        outcomes = solve_family_parallel(instance.cnf, vectors, processes=1)
+        outcomes = ProcessPoolBackend(processes=1).run(instance.cnf, vectors).outcomes
         assert len(outcomes) == 4
         assert all(o.status in (SolverStatus.SAT, SolverStatus.UNSAT) for o in outcomes)
 
     def test_results_in_input_order(self, instance):
         vectors = [[instance.start_set[0]], [-instance.start_set[0]]]
-        outcomes = solve_family_parallel(instance.cnf, vectors, processes=1)
+        outcomes = ProcessPoolBackend(processes=1).run(instance.cnf, vectors).outcomes
         assert outcomes[0].assumptions == (instance.start_set[0],)
         assert outcomes[1].assumptions == (-instance.start_set[0],)
 
     def test_models_kept_for_sat(self, instance):
-        outcomes = solve_family_parallel(instance.cnf, [[]], processes=1)
+        outcomes = ProcessPoolBackend(processes=1).run(instance.cnf, [[]]).outcomes
         assert outcomes[0].status is SolverStatus.SAT
         assert outcomes[0].model is not None
 
-    def test_models_dropped_when_not_requested(self, instance):
-        outcomes = solve_family_parallel(instance.cnf, [[]], processes=1, keep_models=False)
-        assert outcomes[0].model is None
-
-    def test_invalid_process_count(self, instance):
+    def test_invalid_process_count(self):
         with pytest.raises(ValueError):
-            solve_family_parallel(instance.cnf, [[1]], processes=0)
+            ProcessPoolBackend(processes=0)
 
     def test_two_worker_processes(self, instance):
         # Keep this small: spawning processes is slow but exercises the real pool.
         vectors = [[v] for v in instance.start_set[:4]]
-        parallel = solve_family_parallel(instance.cnf, vectors, processes=2)
-        sequential = solve_family_parallel(instance.cnf, vectors, processes=1)
-        assert [o.status for o in parallel] == [o.status for o in sequential]
-        assert [o.cost for o in parallel] == [o.cost for o in sequential]
+        parallel = ProcessPoolBackend(processes=2).run(instance.cnf, vectors)
+        sequential = SerialBackend().run(instance.cnf, vectors)
+        assert parallel.statuses == sequential.statuses
+        assert parallel.costs == sequential.costs
+        assert parallel.satisfying_models == sequential.satisfying_models
+
+
+def _family(cipher: str, seed: int, width: int, known_bits: int = 0):
+    """An instance and the family of its first ``width`` start-set variables."""
+    instance = InstanceSpec(cipher=cipher, seed=seed, known_bits=known_bits).build()
+    decomposition = DecompositionSet.of(instance.start_set[:width])
+    return instance, [a.to_literals() for a in decomposition.all_assignments()]
+
+
+def _answers(run) -> list[tuple]:
+    return [(o.status, o.cost, o.model) for o in run.outcomes]
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Make every process pool unbuildable, so ``ProcessExecutor`` degrades to threads.
+
+    A short interpreter switch interval makes those threads interleave often.
+    """
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise OSError("process pools are disabled in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestDegradedPool:
+    """A pool that degraded to threads runs each thread on its own solver."""
+
+    def test_family_equals_serial(self, no_process_pool):
+        instance, vectors = _family("bivium-tiny", seed=5, width=7, known_bits=8)
+        serial = SerialBackend().run(instance.cnf, vectors)
+        with pytest.warns(RuntimeWarning, match="degrading to a thread executor"):
+            pooled = ProcessPoolBackend(processes=4).run(instance.cnf, vectors)
+        assert serial.num_sat == 1
+        assert pooled.num_sat == 1
+        assert _answers(pooled) == _answers(serial)
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_scheduled_estimation_equals_serial(self, no_process_pool, batch_size):
+        from repro.sat.cdcl.image import list_segments
+
+        instance = InstanceSpec(cipher="bivium-tiny", seed=5, known_bits=8).build()
+        variables = instance.start_set[:8]
+        serial = estimate_family_scheduled(
+            instance.cnf, variables, sample_size=64, seed=3, batch_size=batch_size,
+        )
+        with pytest.warns(RuntimeWarning, match="degrading to a thread executor"):
+            pooled = estimate_family_scheduled(
+                instance.cnf, variables, sample_size=64, seed=3, batch_size=batch_size,
+                executor="process-pool", processes=4,
+            )
+        assert "cannot create process pool" in pooled.run.metadata["executor_fallback"]
+        assert pooled.costs == serial.costs
+        assert pooled.statuses == serial.statuses
+        assert pooled.statistics == serial.statistics
+        assert not list_segments()
+
+
+def _in_threads(*jobs, timeout: float = 300.0):
+    """Run each job on its own thread, all released at once; return their results.
+
+    A short interpreter switch interval makes the threads interleave often,
+    so state shared between the runs would be hit, not just possible.
+    """
+    barrier = threading.Barrier(len(jobs), timeout=timeout)
+    results: list = [None] * len(jobs)
+    errors: list[BaseException] = []
+
+    def work(index, job):
+        try:
+            barrier.wait()
+            results[index] = job()
+        except BaseException as error:  # noqa: BLE001 - re-raised in the caller
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=pair) for pair in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class TestConcurrentRuns:
+    """Two runs in one process, on two threads, never share a solver."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        return [
+            _family("geffe-tiny", seed=11, width=6),
+            _family("bivium-tiny", seed=12, width=6),
+        ]
+
+    def test_two_in_process_pool_runs(self, families):
+        expected = [_answers(SerialBackend().run(i.cnf, v)) for i, v in families]
+        runs = _in_threads(*(
+            lambda i=i, v=v: ProcessPoolBackend(processes=1).run(i.cnf, v)
+            for i, v in families
+        ))
+        assert [_answers(run) for run in runs] == expected
+
+    def test_two_serial_scheduled_estimations(self, families):
+        def estimate(instance):
+            return estimate_family_scheduled(
+                instance.cnf, instance.start_set[:6], sample_size=64, seed=3,
+            )
+
+        expected = [estimate(i).costs for i, _ in families]
+        runs = _in_threads(*(lambda i=i: estimate(i) for i, _ in families))
+        assert [run.costs for run in runs] == expected
+
+
+class TestProgress:
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            SerialBackend(),
+            ProcessPoolBackend(processes=2),
+            SimulatedClusterBackend(cores=3),
+            VolunteerGridBackend(),
+        ],
+        ids=lambda backend: backend.name,
+    )
+    def test_one_event_per_subproblem(self, backend):
+        instance, vectors = _family("geffe-tiny", seed=1, width=3)
+        events: list[tuple[int, int]] = []
+        backend.run(instance.cnf, vectors, progress=lambda done, total: events.append((done, total)))
+        assert events == [(done, 8) for done in range(1, 9)]
+
+
+def _without_wall_time(records):
+    """Checkpoint records with the machine-dependent ``wall_time`` values blanked."""
+    if isinstance(records, list):
+        return [_without_wall_time(record) for record in records]
+    return {key: (None if key == "wall_time" else value) for key, value in records.items()}
+
+
+class TestParentWrittenCheckpoints:
+    """Checkpoints written before the row-solving kernel resume and keep their format.
+
+    The files under ``tests/data`` were written by the earlier runner:
+    geffe-tiny seed 1, family (1, 2, 3) on the serial backend, and scheduled
+    estimations (first 6 start-set variables, N=16, seed 3) at batch sizes 1
+    and 4, each interrupted after two tasks.
+    """
+
+    FAMILY = DATA / "family_geffe_tiny_seed1_d123.ckpt"
+
+    @staticmethod
+    def _config(**changes) -> ExperimentConfig:
+        return ExperimentConfig(
+            instance=InstanceSpec(cipher="geffe-tiny", seed=1),
+            backend=BackendSpec(name="serial"),
+            **changes,
+        )
+
+    def test_family_checkpoint_resumes(self, tmp_path):
+        path = tmp_path / "family.ckpt"
+        shutil.copyfile(self.FAMILY, path)
+        fresh = Experiment(self._config()).solve(decomposition=(1, 2, 3))
+        resumed = Experiment(self._config(checkpoint_path=str(path))).solve(
+            decomposition=(1, 2, 3)
+        )
+        assert resumed.data["resumed_subproblems"] == 8
+        assert resumed.data["statuses"] == fresh.data["statuses"]
+        assert resumed.data["costs"] == fresh.data["costs"]
+        assert resumed.data["recovered_state"] == fresh.data["recovered_state"]
+
+    def test_family_checkpoint_is_written_in_the_same_format(self, tmp_path):
+        path = tmp_path / "family.ckpt"
+        Experiment(self._config(checkpoint_path=str(path))).solve(decomposition=(1, 2, 3))
+        written = json.loads(path.read_text())
+        parent = json.loads(self.FAMILY.read_text())
+        assert written["metadata"]["experiment"] == parent["metadata"]["experiment"]
+        assert list(written["results"]) == [f"sub-{index:06d}" for index in range(8)]
+        for task_id, record in parent["results"].items():
+            assert list(written["results"][task_id]) == list(record)
+            assert _without_wall_time(written["results"][task_id]) == _without_wall_time(record)
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_estimation_checkpoint_resumes_in_the_same_format(self, batch_size):
+        path = DATA / f"estimation_geffe_tiny_seed1_batch{batch_size}.ckpt"
+        instance = InstanceSpec(cipher="geffe-tiny", seed=1).build()
+
+        def estimate(**kwargs):
+            return estimate_family_scheduled(
+                instance.cnf, instance.start_set[:6], sample_size=16, seed=3,
+                batch_size=batch_size, **kwargs,
+            )
+
+        fresh = estimate()
+        resumed = estimate(checkpoint=SchedulerCheckpoint.load(path))
+        assert resumed.run.metadata["from_checkpoint"] == 2
+        assert resumed.costs == fresh.costs
+        assert resumed.statuses == fresh.statuses
+        assert resumed.statistics == fresh.statistics
+
+        written: list[SchedulerCheckpoint] = []
+        estimate(checkpoint_sink=written.append, interrupt_after=2)
+        parent = SchedulerCheckpoint.load(path)
+        assert written[-1].metadata == parent.metadata
+        assert _without_wall_time(list(written[-1].results.values())) == _without_wall_time(
+            list(parent.results.values())
+        )
+        assert list(written[-1].results) == list(parent.results)

@@ -2,14 +2,14 @@
 
 This module is the continuous check that the bit-parallel assumption-batching
 engine (:meth:`repro.sat.cdcl.CDCLSolver.solve_batch`,
-:mod:`repro.sat.cdcl.batch`) and the zero-copy shared-memory worker protocol
-(:class:`repro.sat.cdcl.image.ArenaImage`) keep paying — and stay
-*bit-identical* everywhere:
+:mod:`repro.sat.cdcl.batch`) and the frozen-image worker protocol
+(:class:`repro.sat.cdcl.image.ArenaImage`, handed to pool workers through the
+pool initializer) keep paying — and stay *bit-identical* everywhere:
 
 * **lockstep speedup** — the single-process word-parallel loop must stay
   decisively faster than the scalar fresh loop on the bivium-tiny d=10 sample
   stream;
-* **scheduled speedup** — batched + zero-copy scheduled estimation must stay
+* **scheduled speedup** — batched frozen-image scheduled estimation must stay
   faster than the scalar process-pool path at 1, 4 and 16 cores;
 * every speedup must also stay at or above 0.75x its value in the committed
   ``BENCH_6.json`` (``benchmarks/_common.py``);
@@ -78,13 +78,14 @@ def batch_solve_workload(cnf, rows, rounds: int = 2) -> dict[str, object]:
 
 
 def batched_estimation_workload(cnf, variables, cores: int, rounds: int = 2) -> dict[str, object]:
-    """Scheduled estimation samples/second: batched+zero-copy vs scalar pool.
+    """Scheduled estimation samples/second: batched frozen-image vs scalar pool.
 
     Both sides run :func:`repro.runner.estimation.estimate_family_scheduled`
     on a real ``cores``-worker process pool.  The scalar side ships one
-    sample per task with the CNF pickled into each worker; the batched side
-    ships ``BATCH_SIZE`` rows per task against one shared read-only
-    :class:`~repro.sat.cdcl.image.ArenaImage` segment.
+    sample per task and re-loads the CNF for each; the batched side ships
+    ``BATCH_SIZE`` rows per task against a frozen
+    :class:`~repro.sat.cdcl.image.ArenaImage` that each worker inherits from
+    the pool initializer and loads once.
     """
     best = {"scalar": float("inf"), "batched": float("inf")}
     results = {}
@@ -160,7 +161,7 @@ def test_lockstep_speedup_and_differential(benchmark):
 
 @pytest.mark.parametrize("cores", [1, 4, 16])
 def test_scheduled_estimation_speedup(benchmark, cores):
-    """Batched + zero-copy scheduled estimation beats the scalar pool path."""
+    """Batched frozen-image scheduled estimation beats the scalar pool path."""
     bivium = _bivium()
     decomposition = sorted(bivium.start_set[:10])
 

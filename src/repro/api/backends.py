@@ -6,16 +6,19 @@ This module keeps the :class:`ExecutionBackend` protocol as the compatibility
 facade of that idea — a backend takes a CNF and a list of assumption vectors
 and returns one :class:`SubproblemOutcome` per vector, in input order, plus
 backend-specific metadata — but every built-in backend is a thin policy over
-one shared path: the family becomes a task graph of one-row tasks, the run
-gets its own :class:`~repro.runner.pool.WorkerState` (whose kernel solves
-each row fresh), the backend names an executor that
+one shared path: the family becomes a task graph, the run gets its own
+:class:`~repro.runner.pool.WorkerState`, the backend names an executor that
 :func:`~repro.runner.pool.worker_executor` builds (inline, real process pool,
 simulated virtual-clock cluster), and the scheduler of
 :mod:`repro.runner.scheduler` contributes retry budgets, checkpoint/resume and
-order-independent result folding.  :class:`SubproblemOutcome` — with
-:func:`encode_outcome` / :func:`decode_outcome`, its checkpoint format — is
-the one outcome type of that path, defined in :mod:`repro.runner.pool` and
-re-exported here.
+order-independent result folding.  The tasks carry one row each, solved
+fresh, except on the process pool: there, with a solver that has
+``solve_batch`` and no per-call ``simplify``, each task carries a chunk of
+rows solved by one ``solve_batch`` call — bit-identical to fresh solves —
+while progress events and checkpoint records stay one per sub-problem.
+:class:`SubproblemOutcome` — with :func:`encode_outcome` /
+:func:`decode_outcome`, its checkpoint format — is the one outcome type of
+that path, defined in :mod:`repro.runner.pool` and re-exported here.
 
 Because the bundled solvers are deterministic, every backend returns the exact
 same statuses and costs for the same inputs — the backends differ only in how
@@ -42,6 +45,7 @@ through this path.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -59,11 +63,14 @@ from repro.runner.pool import (
     worker_executor,
 )
 from repro.runner.scheduler import (
+    Executor,
     FailureModel,
     RetryPolicy,
     Scheduler,
     SchedulerCheckpoint,
     SchedulerRun,
+    Task,
+    TaskGraph,
 )
 from repro.sat.formula import CNF
 from repro.sat.solver import SolverBudget, SolverStatus
@@ -166,6 +173,10 @@ def _validate_family_checkpoint(graph, checkpoint: SchedulerCheckpoint) -> None:
             )
 
 
+#: Most rows one process-pool task carries (one ``solve_batch`` call).
+_MAX_CHUNK_ROWS = 64
+
+
 def _run_family_scheduler(
     executor: str,
     cnf: CNF,
@@ -188,17 +199,26 @@ def _run_family_scheduler(
 
     One :class:`~repro.runner.pool.WorkerState` for this run, the
     ``executor`` built around it by :func:`~repro.runner.pool.worker_executor`,
-    and one scheduler pass over the family's task graph.
+    and one scheduler pass over the family's task graph — or, on the process
+    pool with a solver that can batch, over chunks of it
+    (:func:`_solve_in_chunks`).
     """
     graph = family_tasks(assumption_vectors)
     if checkpoint is not None:
         _validate_family_checkpoint(graph, checkpoint)
     spec = solver or SolverSpec()
-    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget)
+    # solve_batch is bit-identical to fresh solves, but not with per-call
+    # preprocessing, whose result depends on each row's frozen variables.
+    chunked = (
+        executor == "process-pool"
+        and not spec.options.get("simplify")
+        and hasattr(spec.build(), "solve_batch")
+    )
+    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=chunked)
     total = len(graph)
     completed = {"count": 0}
 
-    def on_result(task_id: str, value: SubproblemOutcome) -> None:
+    def advance() -> None:
         completed["count"] += 1
         if progress is not None:
             progress(completed["count"], total)
@@ -209,49 +229,131 @@ def _run_family_scheduler(
     # sub-problems unresolved and silently punch holes in the reported
     # prefix.  Everyone else solves the whole family and truncates after.
     inline_stop = stop_on_sat and executor == "serial"
+    retry = retry or RetryPolicy(max_attempts=3)
     with worker_executor(
         executor, state, workers=workers, dispatch_latency=dispatch_latency,
         failures=failures,
     ) as resolved:
-        run = Scheduler(
-            graph,
-            resolved,
-            retry=retry or RetryPolicy(max_attempts=3),
-            checkpoint=checkpoint,
-            result_decoder=decode_outcome,
-            checkpoint_sink=checkpoint_sink,
-            result_encoder=encode_outcome,
-            checkpoint_every=checkpoint_every,
-            stop_on=(
-                (lambda task_id, value: value.status is SolverStatus.SAT)
-                if inline_stop
-                else None
-            ),
-            on_result=on_result,
-            trace=trace,
-        ).run()
+        if chunked:
+            solved, run = _solve_in_chunks(
+                graph, resolved, retry, checkpoint, checkpoint_sink, checkpoint_every,
+                advance, trace,
+            )
+        else:
+            run = Scheduler(
+                graph,
+                resolved,
+                retry=retry,
+                checkpoint=checkpoint,
+                result_decoder=decode_outcome,
+                checkpoint_sink=checkpoint_sink,
+                result_encoder=encode_outcome,
+                checkpoint_every=checkpoint_every,
+                stop_on=(
+                    (lambda task_id, value: value.status is SolverStatus.SAT)
+                    if inline_stop
+                    else None
+                ),
+                on_result=lambda task_id, value: advance(),
+                trace=trace,
+            ).run()
+            solved = {task_id: record.value for task_id, record in run.results.items()}
     if run.failed:
         task_id, error = next(iter(run.failed.items()))
         raise RuntimeError(
             f"{len(run.failed)} sub-problems failed after retries "
             f"(first: {task_id}: {error})"
         )
-    outcomes = run.values_in_order()
-    if stop_on_sat:
-        # Serial semantics: the *contiguous* prefix of input-order results up
-        # to and including the first satisfiable sub-problem.  Stopping at a
-        # gap (an unresolved earlier sub-problem) keeps the report honest —
-        # a gap can only arise from an early stop, never from a full run.
-        prefix: list[SubproblemOutcome] = []
-        for task_id in run.graph_order:
-            record = run.results.get(task_id)
-            if record is None:
+    outcomes: list[SubproblemOutcome] = []
+    for task_id in graph.task_ids:
+        outcome = solved.get(task_id)
+        if outcome is None:
+            if stop_on_sat:
+                # Serial semantics: the *contiguous* prefix of input-order
+                # results up to and including the first satisfiable
+                # sub-problem.  Stopping at a gap (an unresolved earlier
+                # sub-problem) keeps the report honest — a gap can only arise
+                # from an early stop, never from a full run.
                 break
-            prefix.append(record.value)
-            if record.value.status is SolverStatus.SAT:
-                break
-        outcomes = prefix
+            continue
+        outcomes.append(outcome)
+        if stop_on_sat and outcome.status is SolverStatus.SAT:
+            break
     return outcomes, run
+
+
+def _solve_in_chunks(
+    graph: TaskGraph,
+    executor: Executor,
+    retry: RetryPolicy,
+    checkpoint: SchedulerCheckpoint | None,
+    checkpoint_sink: Callable[[SchedulerCheckpoint], None] | None,
+    checkpoint_every: int,
+    advance: Callable[[], None],
+    trace,
+) -> tuple[dict[str, SubproblemOutcome], SchedulerRun]:
+    """Solve the family's unsolved rows in chunks, one ``solve_batch`` call each.
+
+    The rows missing from ``checkpoint`` are split into chunks of
+    ``min(64, ceil(pending / (4 × workers)))`` rows — enough chunks for every
+    worker to take several, few enough that each solver load serves many
+    rows — and the scheduler dispatches, retries and traces the chunks.
+    Everything else stays per sub-problem: ``advance`` (the progress event)
+    runs once per row, restored rows first; the sink's snapshots hold one
+    ``sub-%06d`` record per sub-problem, in family order; and the sink fires
+    whenever the count of freshly solved sub-problems crosses a multiple of
+    ``checkpoint_every``, and once at the end unless the last snapshot was
+    already complete.  Returns the outcomes by sub-problem id and the chunk
+    run, whose ``from_checkpoint`` counts restored sub-problems.
+    """
+    solved: dict[str, SubproblemOutcome] = {}
+    for task_id in graph.task_ids:
+        if checkpoint is not None and task_id in checkpoint:
+            solved[task_id] = decode_outcome(checkpoint.results[task_id])
+            advance()
+    pending = [task_id for task_id in graph.task_ids if task_id not in solved]
+    size = min(_MAX_CHUNK_ROWS, max(1, math.ceil(len(pending) / (4 * executor.num_workers))))
+    members = {
+        f"chunk-{index:06d}": pending[begin : begin + size]
+        for index, begin in enumerate(range(0, len(pending), size))
+    }
+    chunks = TaskGraph(
+        Task(task_id=chunk_id, payload=tuple(graph.task(task_id).payload for task_id in ids))
+        for chunk_id, ids in members.items()
+    )
+    fresh = saved = 0
+
+    def save() -> None:
+        nonlocal saved
+        checkpoint_sink(
+            SchedulerCheckpoint(
+                results={
+                    task_id: encode_outcome(solved[task_id])
+                    for task_id in graph.task_ids
+                    if task_id in solved
+                },
+                metadata={"completed": len(solved) == len(graph), "tasks": len(graph)},
+            )
+        )
+        saved = fresh
+
+    def on_chunk(chunk_id: str, values: list[SubproblemOutcome]) -> None:
+        nonlocal fresh
+        ids = members[chunk_id]
+        solved.update(zip(ids, values))
+        fresh += len(ids)
+        if checkpoint_sink is not None and (
+            fresh // checkpoint_every > saved // checkpoint_every
+        ):
+            save()
+        for _ in ids:
+            advance()
+
+    run = Scheduler(chunks, executor, retry=retry, on_result=on_chunk, trace=trace).run()
+    if checkpoint_sink is not None and fresh != saved:
+        save()
+    run.metadata["from_checkpoint"] = len(graph) - len(pending)
+    return solved, run
 
 
 def _scheduler_metadata(run: SchedulerRun) -> dict[str, Any]:
@@ -304,9 +406,16 @@ class ProcessPoolBackend:
     in-process loop (handy in tests).  Each worker process receives the run's
     worker state once, through the pool initializer; a pool that cannot start
     falls back to threads on the same per-run state, with identical results.
-    ``stop_on_sat`` is emulated by truncating the outcome list at the first
-    satisfiable sub-problem, which reproduces exactly what the serial backend
-    would have reported.
+    The rows still to solve travel in chunks of
+    ``min(64, ceil(pending / (4 × processes)))``, each solved by one
+    ``solve_batch`` call on a solver loaded once per worker, so the
+    scheduler's ``dispatches`` (and trace task events) count chunks; progress
+    events, checkpoint records and ``checkpoint_every`` stay per sub-problem,
+    and every status, cost and model equals the serial backend's.  Solvers
+    without ``solve_batch``, or with ``simplify`` on, get one fresh solve per
+    row.  ``stop_on_sat`` is emulated by truncating the outcome list at the
+    first satisfiable sub-problem, which reproduces exactly what the serial
+    backend would have reported.
     """
 
     name = "process-pool"

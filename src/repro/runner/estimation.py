@@ -192,11 +192,13 @@ def estimate_family_scheduled(
     ``batch_size > 1`` ships up to that many sampled rows per task and solves
     them with :meth:`~repro.sat.cdcl.CDCLSolver.solve_batch` (requires a
     solver exposing it): the root propagation prefix is shared within each
-    batch, and on the process-pool the formula travels as one shared
-    read-only :class:`~repro.sat.cdcl.image.ArenaImage` segment instead of a
-    pickled CNF per worker.  Per-sample costs and statuses — and therefore
-    the folded statistics — are bit-identical to ``batch_size=1``; the
-    statistics stay a pure function of (instance, decomposition, seed).
+    batch, each worker thread loads the formula once, and on the
+    process-pool the formula reaches the workers as a frozen
+    :class:`~repro.sat.cdcl.image.ArenaImage` in the pool initializer, which
+    forked workers inherit without pickling.  Per-sample costs and statuses
+    — and therefore the folded statistics — are bit-identical to
+    ``batch_size=1``; the statistics stay a pure function of (instance,
+    decomposition, seed).
     """
     ordered = tuple(sorted(set(int(v) for v in variables)))
     if batch_size < 1:

@@ -9,8 +9,10 @@ decomposition family in solving mode.  That one job is written once here:
   thread.  Calling it with a task payload is the row-solving kernel: it
   solves the task's rows against the run's formula and returns
   :class:`SubproblemOutcome` records.  A batched state's tasks carry a tuple
-  of rows, solved together by ``solve_batch``; every other task carries one
-  row, solved by a fresh ``solve(cnf, row)``.
+  of rows — a chunk of a batched estimation's sample, or of a family solved
+  on the process pool — solved together by ``solve_batch`` on a solver
+  loaded once per thread; every other task carries one row, solved by a
+  fresh ``solve(cnf, row)``.
 * :func:`worker_executor` is the one executor factory: serial (inline),
   thread, real process pool or simulated virtual-clock cluster, each running
   the same kernel.  Scheduled estimation
@@ -45,6 +47,7 @@ from repro.runner.scheduler import (
     TaskGraph,
     ThreadExecutor,
 )
+from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
 from repro.sat.solver import SolverBudget, SolverStatus
 
@@ -95,8 +98,9 @@ class WorkerState:
     """The worker state of one run, with one solver per thread.
 
     ``formula`` is a CNF, or — inside pool workers of a batched run on the
-    arena engine — the name of a shared read-only
-    :class:`~repro.sat.cdcl.image.ArenaImage` segment.  The solver is built
+    arena engine — the frozen :class:`~repro.sat.cdcl.image.ArenaImage` of
+    one, which each thread's solver rebuilds from with ``load_image`` instead
+    of re-normalising the clauses.  The solver is built
     from the ``solver`` registry name and ``solver_options`` here, so an
     unknown name or option fails in the caller, not in a worker.
 
@@ -107,7 +111,7 @@ class WorkerState:
 
     def __init__(
         self,
-        formula: CNF | str,
+        formula: CNF | ArenaImage,
         solver: str = "cdcl",
         solver_options: Mapping[str, object] | None = None,
         cost_measure: str = "propagations",
@@ -166,13 +170,8 @@ class WorkerState:
         solver = getattr(self._local, "solver", None)
         if solver is None:
             solver = self._factory(**self.options)
-            if self.batched and isinstance(self.formula, str):
-                from repro.sat.cdcl.image import ArenaImage
-
-                # The attachment lives as long as this thread's solver; it
-                # does not keep the leader's unlinked segment alive.
-                self._local.image = ArenaImage.attach(self.formula)
-                solver.load_image(self._local.image)
+            if self.batched and isinstance(self.formula, ArenaImage):
+                solver.load_image(self.formula)
             elif self.batched:
                 solver.load(self.formula)
             self._local.solver = solver
@@ -217,60 +216,52 @@ def worker_executor(
     * ``"process-pool"`` — on ``workers`` worker processes (default: every
       core).  The state travels once per worker through the pool
       initializer.  A batched state on the arena engine ships its formula as
-      one shared read-only :class:`~repro.sat.cdcl.image.ArenaImage` segment
-      instead of a pickled CNF; the segment's name rides in the initializer
-      and the segment is unlinked when the block exits, however it exits;
+      the words of a frozen :class:`~repro.sat.cdcl.image.ArenaImage`
+      instead of the CNF: forked workers inherit the initializer's arguments
+      without pickling them, and each thread's solver rebuilds its clause
+      database from the image without re-normalising a clause;
     * ``"simulated-cluster"`` — on ``workers`` virtual cores (default 8) of a
       :class:`~repro.runner.scheduler.SimulatedGridExecutor`, where a task
       occupies its core for its rows' summed cost, plus ``dispatch_latency``
       and whatever ``failures`` injects.
 
-    The scheduler closes the executor; this block owns only the segment.
+    The scheduler closes the executor.
     """
-    shared = None
-    try:
-        if name == "serial":
-            yield InlineExecutor(task_fn=state)
-        elif name == "thread":
-            yield ThreadExecutor(task_fn=state, num_workers=workers or 4)
-        elif name == "simulated-cluster":
-            yield SimulatedGridExecutor(
-                task_fn=state,
-                workers=workers or 8,
-                duration_of=(
-                    (lambda outcomes: sum(outcome.cost for outcome in outcomes))
-                    if state.batched
-                    else (lambda outcome: outcome.cost)
-                ),
-                dispatch_latency=dispatch_latency,
-                failures=failures,
-            )
-        elif name == "process-pool":
-            import multiprocessing
+    if name == "serial":
+        yield InlineExecutor(task_fn=state)
+    elif name == "thread":
+        yield ThreadExecutor(task_fn=state, num_workers=workers or 4)
+    elif name == "simulated-cluster":
+        yield SimulatedGridExecutor(
+            task_fn=state,
+            workers=workers or 8,
+            duration_of=(
+                (lambda outcomes: sum(outcome.cost for outcome in outcomes))
+                if state.batched
+                else (lambda outcome: outcome.cost)
+            ),
+            dispatch_latency=dispatch_latency,
+            failures=failures,
+        )
+    elif name == "process-pool":
+        import multiprocessing
 
-            formula = state.formula
-            if state.batched and state.solver == "cdcl" and not state.options.get("simplify"):
-                from repro.sat.cdcl.config import CDCLConfig
-                from repro.sat.cdcl.image import ArenaImage
+        formula = state.formula
+        if state.batched and state.solver == "cdcl" and not state.options.get("simplify"):
+            from repro.sat.cdcl.config import CDCLConfig
 
-                shared = ArenaImage.freeze(formula, CDCLConfig(**state.options)).share()
-                formula = shared.name
-            yield ProcessExecutor(
-                task_fn=state,
-                num_workers=workers or multiprocessing.cpu_count(),
-                initializer=_install_state,
-                initargs=(
-                    os.getpid(), state.token, formula, state.solver, state.options,
-                    state.cost_measure, state.budget, state.batched,
-                ),
-            )
-        else:
-            raise ValueError(f"unknown executor {name!r}")
-    finally:
-        if shared is not None:
-            # Workers keep their existing mappings (POSIX), so in-flight
-            # attempts cannot crash on the unlink.
-            shared.unlink()
+            formula = ArenaImage.freeze(formula, CDCLConfig(**state.options))
+        yield ProcessExecutor(
+            task_fn=state,
+            num_workers=workers or multiprocessing.cpu_count(),
+            initializer=_install_state,
+            initargs=(
+                os.getpid(), state.token, formula, state.solver, state.options,
+                state.cost_measure, state.budget, state.batched,
+            ),
+        )
+    else:
+        raise ValueError(f"unknown executor {name!r}")
 
 
 def family_task_id(index: int) -> str:

@@ -1,4 +1,4 @@
-"""Frozen, buffer-backed CNF/arena images — the zero-copy worker protocol.
+"""Frozen, buffer-backed CNF/arena images — the frozen-image worker protocol.
 
 A :class:`CDCLSolver` builds its internal clause database with
 :meth:`~repro.sat.cdcl.solver.CDCLSolver._init`: clause normalisation, root
@@ -11,7 +11,9 @@ one flat ``int64`` buffer:
 
 * :meth:`ArenaImage.freeze` loads the formula into a throwaway solver and
   serialises the **post-``_init`` state** — the clause arena, the problem-cref
-  table and the root-level unit trail — into a private buffer;
+  table and the root-level unit trail — into a private buffer, which
+  :func:`repro.runner.pool.worker_executor` hands to forked pool workers
+  through the pool initializer;
 * :meth:`ArenaImage.share` copies that buffer into a
   :mod:`multiprocessing.shared_memory` segment, so any number of worker
   processes can map the same physical pages;

@@ -200,9 +200,10 @@ class CDCLSolver:
 
         Bit-identical to :meth:`load` on the formula the image froze — the
         arena, cref table and root-unit trail are copied straight out of the
-        buffer, skipping per-clause normalisation entirely (the zero-copy
-        worker protocol: workers attach to one shared segment and rebuild
-        from it instead of unpickling and re-loading a CNF per task).
+        buffer, skipping per-clause normalisation entirely (the frozen-image
+        worker protocol: process-pool workers inherit the leader's image
+        through the pool initializer and rebuild from it instead of
+        re-loading a CNF).
         Requires ``config.simplify`` off, like :meth:`ArenaImage.freeze`.
         """
         if self.config.simplify:

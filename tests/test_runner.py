@@ -3,14 +3,21 @@
 Every runner path — the four execution backends and scheduled estimation on
 any executor — runs one kernel on per-run worker state.  The race tests below
 pin what that buys: a process pool that degraded to threads, and two runs
-sharing one process, each return exactly the serial results.
+sharing one process, each return exactly the serial results.  On the process
+pool a family travels in ``solve_batch`` chunks; the tests below pin it to
+the serial backend row for row, checkpoints included, and check that no pool
+run leaves a process behind.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import os
 import shutil
+import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -30,7 +37,7 @@ from repro.problems import make_inversion_instance
 from repro.runner.cluster import simulate_makespan
 from repro.runner.estimation import estimate_family_scheduled
 from repro.runner.scheduler import SchedulerCheckpoint
-from repro.sat.solver import SolverStatus
+from repro.sat.solver import SolverBudget, SolverStatus
 
 #: Checkpoints written by the code before the row-solving kernel existed.
 DATA = Path(__file__).parent / "data"
@@ -154,6 +161,97 @@ def no_process_pool(monkeypatch):
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+class TestChunkedFamily:
+    """On the pool a family is solved in chunks, and the answers stay the serial ones."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        # 128 rows on 2 processes: chunks of 16, so each worker takes several.
+        return _family("bivium-tiny", seed=5, width=7, known_bits=8)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"stop_on_sat": True}, {"budget": SolverBudget(max_conflicts=1)}],
+        ids=["plain", "stop-on-sat", "one-conflict-budget"],
+    )
+    def test_pool_equals_serial_row_for_row(self, family, options):
+        instance, vectors = family
+        serial = SerialBackend().run(instance.cnf, vectors, **options)
+        pooled = ProcessPoolBackend(processes=2).run(instance.cnf, vectors, **options)
+        assert _answers(pooled) == _answers(serial)
+        assert [o.assumptions for o in pooled.outcomes] == [o.assumptions for o in serial.outcomes]
+        assert pooled.metadata["dispatches"] == 8
+        if "budget" in options:
+            assert sum(o.status is SolverStatus.UNKNOWN for o in pooled.outcomes) == 120
+        if "stop_on_sat" in options:
+            assert pooled.outcomes[-1].status is SolverStatus.SAT
+            assert len(pooled.outcomes) < len(vectors)
+
+
+class _Stop(Exception):
+    """Raised by a progress callback to stop a run part-way."""
+
+
+def _stopped_at(backend, instance, vectors, events: int) -> SchedulerCheckpoint:
+    """The last checkpoint ``backend`` wrote before its ``events``-th progress event."""
+    snapshots: list[SchedulerCheckpoint] = []
+
+    def progress(done, total):
+        if done == events:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        backend.run(instance.cnf, vectors, progress=progress, checkpoint_sink=snapshots.append)
+    return snapshots[-1]
+
+
+class TestCheckpointsAcrossBackends:
+    """A family checkpoint is per sub-problem, so either backend resumes the other's."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        instance, vectors = _family("bivium-tiny", seed=5, width=7, known_bits=8)
+        return instance, vectors, _answers(SerialBackend().run(instance.cnf, vectors))
+
+    def test_serial_resumes_a_stopped_pool_run(self, family):
+        instance, vectors, expected = family
+        partial = _stopped_at(ProcessPoolBackend(processes=2), instance, vectors, events=20)
+        assert 0 < len(partial) < len(vectors)
+        resumed = SerialBackend().run(instance.cnf, vectors, checkpoint=partial)
+        assert resumed.metadata["from_checkpoint"] == len(partial)
+        assert _answers(resumed) == expected
+
+    def test_pool_resumes_a_stopped_serial_run(self, family):
+        instance, vectors, expected = family
+        partial = _stopped_at(SerialBackend(), instance, vectors, events=40)
+        assert len(partial) == 39
+        events: list[int] = []
+        resumed = ProcessPoolBackend(processes=2).run(
+            instance.cnf, vectors, checkpoint=partial,
+            progress=lambda done, total: events.append(done),
+        )
+        assert resumed.metadata["from_checkpoint"] == 39
+        assert events == list(range(1, len(vectors) + 1))
+        assert _answers(resumed) == expected
+
+    @pytest.mark.parametrize(
+        ("every", "sizes"),
+        # Chunks of 16 rows: the sink fires on each chunk that crosses a
+        # multiple of ``every``, and at the end unless that already happened.
+        [(1, [16 * k for k in range(1, 9)]), (40, [48, 80, 128]), (50, [64, 112, 128])],
+    )
+    def test_pool_sink_fires_per_crossed_multiple_of_checkpoint_every(
+        self, family, every, sizes
+    ):
+        instance, vectors, _ = family
+        snapshots: list[SchedulerCheckpoint] = []
+        ProcessPoolBackend(processes=2).run(
+            instance.cnf, vectors, checkpoint_sink=snapshots.append, checkpoint_every=every,
+        )
+        assert [len(snapshot) for snapshot in snapshots] == sizes
+        assert list(snapshots[-1].results) == [f"sub-{index:06d}" for index in range(128)]
 
 
 class TestDegradedPool:
@@ -287,19 +385,24 @@ class TestParentWrittenCheckpoints:
 
     FAMILY = DATA / "family_geffe_tiny_seed1_d123.ckpt"
 
-    @staticmethod
-    def _config(**changes) -> ExperimentConfig:
+    BACKENDS = {
+        "serial": BackendSpec(name="serial"),
+        "process-pool": BackendSpec(name="process-pool", options={"processes": 2}),
+    }
+
+    @classmethod
+    def _config(cls, backend: str = "serial", **changes) -> ExperimentConfig:
         return ExperimentConfig(
             instance=InstanceSpec(cipher="geffe-tiny", seed=1),
-            backend=BackendSpec(name="serial"),
+            backend=cls.BACKENDS[backend],
             **changes,
         )
 
-    def test_family_checkpoint_resumes(self, tmp_path):
+    def _resume_the_family_checkpoint(self, tmp_path, backend: str) -> None:
         path = tmp_path / "family.ckpt"
         shutil.copyfile(self.FAMILY, path)
         fresh = Experiment(self._config()).solve(decomposition=(1, 2, 3))
-        resumed = Experiment(self._config(checkpoint_path=str(path))).solve(
+        resumed = Experiment(self._config(backend, checkpoint_path=str(path))).solve(
             decomposition=(1, 2, 3)
         )
         assert resumed.data["resumed_subproblems"] == 8
@@ -307,9 +410,18 @@ class TestParentWrittenCheckpoints:
         assert resumed.data["costs"] == fresh.data["costs"]
         assert resumed.data["recovered_state"] == fresh.data["recovered_state"]
 
-    def test_family_checkpoint_is_written_in_the_same_format(self, tmp_path):
+    def test_family_checkpoint_resumes(self, tmp_path):
+        self._resume_the_family_checkpoint(tmp_path, "serial")
+
+    def test_family_checkpoint_resumes_on_the_pool(self, tmp_path):
+        self._resume_the_family_checkpoint(tmp_path, "process-pool")
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_family_checkpoint_is_written_in_the_same_format(self, tmp_path, backend):
         path = tmp_path / "family.ckpt"
-        Experiment(self._config(checkpoint_path=str(path))).solve(decomposition=(1, 2, 3))
+        Experiment(self._config(backend, checkpoint_path=str(path))).solve(
+            decomposition=(1, 2, 3)
+        )
         written = json.loads(path.read_text())
         parent = json.loads(self.FAMILY.read_text())
         assert written["metadata"]["experiment"] == parent["metadata"]["experiment"]
@@ -344,3 +456,66 @@ class TestParentWrittenCheckpoints:
             list(parent.results.values())
         )
         assert list(written[-1].results) == list(parent.results)
+
+
+def _session_processes(session: int, exclude: int = 0) -> list[str]:
+    """Command lines of the live (non-zombie) processes of ``session``, bar ``exclude``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit() or int(entry.name) == exclude:
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, _group, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state != "Z":
+            found.append(cmdline.replace(b"\0", b" ").decode(errors="replace").strip())
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_pool_runs_leave_no_process_behind():
+    """A family and a batched estimation on the pool leave nothing running.
+
+    The runs happen in a fresh interpreter leading its own session.  It lists
+    the other live processes of its session just before it exits, and the
+    test scans the session again as soon as it has exited: a process in either
+    list outlived the runs.  The first list catches what exits only with the
+    interpreter (``multiprocessing``'s resource tracker, which a shared-memory
+    segment starts) without racing its exit.
+    """
+    import repro
+
+    script = inspect.getsource(_session_processes) + textwrap.dedent(
+        """
+        from repro.api.backends import ProcessPoolBackend
+        from repro.api.specs import InstanceSpec
+        from repro.core.decomposition import DecompositionSet
+        from repro.runner.estimation import estimate_family_scheduled
+
+        instance = InstanceSpec(cipher="bivium-tiny", seed=5, known_bits=8).build()
+        variables = instance.start_set[:6]
+        family = [a.to_literals() for a in DecompositionSet.of(variables).all_assignments()]
+        ProcessPoolBackend(processes=2).run(instance.cnf, family)
+        estimate_family_scheduled(
+            instance.cnf, variables, sample_size=16, seed=3,
+            executor="process-pool", processes=2, batch_size=4,
+        )
+        print(json.dumps(_session_processes(os.getsid(0), exclude=os.getpid())))
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import json, os\nfrom pathlib import Path\n" + script],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    before_exit, _ = child.communicate(timeout=300)
+    after_exit = _session_processes(child.pid)
+    assert child.returncode == 0
+    assert json.loads(before_exit) == []
+    assert after_exit == []

@@ -11,11 +11,15 @@ one shared path: the family becomes a task graph, the run gets its own
 :func:`~repro.runner.pool.worker_executor` builds (inline, real process pool,
 simulated virtual-clock cluster), and the scheduler of
 :mod:`repro.runner.scheduler` contributes retry budgets, checkpoint/resume and
-order-independent result folding.  The tasks carry one row each, solved
-fresh, except on the process pool: there, with a solver that has
-``solve_batch`` and no per-call ``simplify``, each task carries a chunk of
-rows solved by one ``solve_batch`` call — bit-identical to fresh solves —
-while progress events and checkpoint records stay one per sub-problem.
+order-independent result folding.  On the inline (serial) executor and the
+process pool, with a solver that has ``solve_batch`` and no per-call
+``simplify``, each task carries a chunk of rows solved by one
+``solve_batch`` call — bit-identical to fresh solves — while progress
+events and checkpoint records stay one per sub-problem; inline chunks are
+sized from the pace of the last one, so progress events stay about a
+quarter of a second apart however slow the rows are.  Every other task
+carries one row, solved fresh: on the simulated cluster, whose virtual
+clock charges each sub-problem to a core, and for every other solver.
 :class:`SubproblemOutcome` — with :func:`encode_outcome` /
 :func:`decode_outcome`, its checkpoint format — is the one outcome type of
 that path, defined in :mod:`repro.runner.pool` and re-exported here.
@@ -173,8 +177,15 @@ def _validate_family_checkpoint(graph, checkpoint: SchedulerCheckpoint) -> None:
             )
 
 
-#: Most rows one process-pool task carries (one ``solve_batch`` call).
+#: Most rows one chunk task carries (one ``solve_batch`` call).
 _MAX_CHUNK_ROWS = 64
+
+#: About how long one chunk on the inline executor may run.  The progress
+#: callback — where the service daemon checks cancellation, resource budgets
+#: and shutdown — runs only between chunks, so inline chunks are sized from
+#: the pace of the last one to keep its calls about this far apart, however
+#: slow the rows are.
+_INLINE_CHUNK_SECONDS = 0.25
 
 
 def _run_family_scheduler(
@@ -199,9 +210,9 @@ def _run_family_scheduler(
 
     One :class:`~repro.runner.pool.WorkerState` for this run, the
     ``executor`` built around it by :func:`~repro.runner.pool.worker_executor`,
-    and one scheduler pass over the family's task graph — or, on the process
-    pool with a solver that can batch, over chunks of it
-    (:func:`_solve_in_chunks`).
+    and one scheduler pass over the family's task graph — or, on the inline
+    executor and the process pool with a solver that can batch, over chunks
+    of it (:func:`_solve_in_chunks`; inline, one pass per chunk).
     """
     graph = family_tasks(assumption_vectors)
     if checkpoint is not None:
@@ -209,8 +220,10 @@ def _run_family_scheduler(
     spec = solver or SolverSpec()
     # solve_batch is bit-identical to fresh solves, but not with per-call
     # preprocessing, whose result depends on each row's frozen variables.
+    # The simulated cluster keeps one row per task: its virtual clock
+    # charges every sub-problem to a core of its own.
     chunked = (
-        executor == "process-pool"
+        executor in ("serial", "process-pool")
         and not spec.options.get("simplify")
         and hasattr(spec.build(), "solve_batch")
     )
@@ -236,8 +249,8 @@ def _run_family_scheduler(
     ) as resolved:
         if chunked:
             solved, run = _solve_in_chunks(
-                graph, resolved, retry, checkpoint, checkpoint_sink, checkpoint_every,
-                advance, trace,
+                graph, resolved, executor == "serial", retry, checkpoint, checkpoint_sink,
+                checkpoint_every, advance, trace, inline_stop,
             )
         else:
             run = Scheduler(
@@ -285,26 +298,37 @@ def _run_family_scheduler(
 def _solve_in_chunks(
     graph: TaskGraph,
     executor: Executor,
+    inline: bool,
     retry: RetryPolicy,
     checkpoint: SchedulerCheckpoint | None,
     checkpoint_sink: Callable[[SchedulerCheckpoint], None] | None,
     checkpoint_every: int,
     advance: Callable[[], None],
     trace,
+    stop_on_sat: bool,
 ) -> tuple[dict[str, SubproblemOutcome], SchedulerRun]:
     """Solve the family's unsolved rows in chunks, one ``solve_batch`` call each.
 
-    The rows missing from ``checkpoint`` are split into chunks of
-    ``min(64, ceil(pending / (4 × workers)))`` rows — enough chunks for every
-    worker to take several, few enough that each solver load serves many
-    rows — and the scheduler dispatches, retries and traces the chunks.
+    The scheduler dispatches, retries and traces the chunks.  On the process
+    pool the rows missing from ``checkpoint`` are split up front into chunks
+    of ``min(64, ceil(pending / (4 × workers)))`` rows — enough chunks for
+    every worker to take several, few enough that each solver load serves
+    many rows.  On the ``inline`` executor the chunks are solved one at a
+    time and sized as they go: the first holds one row, and each next one
+    twice as many as the last, up to 64 — or, when the last took more than
+    half of :data:`_INLINE_CHUNK_SECONDS`, as many as its pace fits into
+    that time, at least one.
     Everything else stays per sub-problem: ``advance`` (the progress event)
     runs once per row, restored rows first; the sink's snapshots hold one
-    ``sub-%06d`` record per sub-problem, in family order; and the sink fires
-    whenever the count of freshly solved sub-problems crosses a multiple of
-    ``checkpoint_every``, and once at the end unless the last snapshot was
-    already complete.  Returns the outcomes by sub-problem id and the chunk
-    run, whose ``from_checkpoint`` counts restored sub-problems.
+    ``sub-%06d`` record per sub-problem, in family order, and each chunk's
+    snapshot is taken before that chunk's progress events; and the sink
+    fires whenever the count of freshly solved sub-problems crosses a
+    multiple of ``checkpoint_every``, and once at the end unless the last
+    snapshot was already complete.  ``stop_on_sat`` (inline executor only,
+    where chunks complete in family order) solves no chunk after the first
+    one holding a satisfiable row, and none at all when a restored row is
+    satisfiable.  Returns the outcomes by sub-problem id and the chunk run,
+    whose ``from_checkpoint`` counts restored sub-problems.
     """
     solved: dict[str, SubproblemOutcome] = {}
     for task_id in graph.task_ids:
@@ -312,15 +336,9 @@ def _solve_in_chunks(
             solved[task_id] = decode_outcome(checkpoint.results[task_id])
             advance()
     pending = [task_id for task_id in graph.task_ids if task_id not in solved]
-    size = min(_MAX_CHUNK_ROWS, max(1, math.ceil(len(pending) / (4 * executor.num_workers))))
-    members = {
-        f"chunk-{index:06d}": pending[begin : begin + size]
-        for index, begin in enumerate(range(0, len(pending), size))
-    }
-    chunks = TaskGraph(
-        Task(task_id=chunk_id, payload=tuple(graph.task(task_id).payload for task_id in ids))
-        for chunk_id, ids in members.items()
-    )
+    if stop_on_sat and any(outcome.status is SolverStatus.SAT for outcome in solved.values()):
+        pending = []
+    members: dict[str, list[str]] = {}
     fresh = saved = 0
 
     def save() -> None:
@@ -349,23 +367,94 @@ def _solve_in_chunks(
         for _ in ids:
             advance()
 
-    run = Scheduler(chunks, executor, retry=retry, on_result=on_chunk, trace=trace).run()
+    def solve(plan: list[list[str]]) -> SchedulerRun:
+        """One scheduler pass over the chunks ``plan`` lists (sub-problem ids each)."""
+        chunks = []
+        for ids in plan:
+            chunk_id = f"chunk-{len(members):06d}"
+            members[chunk_id] = ids
+            chunks.append(
+                Task(task_id=chunk_id, payload=tuple(graph.task(task_id).payload for task_id in ids))
+            )
+        return Scheduler(
+            TaskGraph(chunks),
+            executor,
+            retry=retry,
+            on_result=on_chunk,
+            stop_on=(
+                (lambda chunk_id, values: any(v.status is SolverStatus.SAT for v in values))
+                if stop_on_sat
+                else None
+            ),
+            trace=trace,
+        ).run()
+
+    if inline:
+        passes: list[SchedulerRun] = []
+        begin, size = 0, 1
+        while begin < len(pending):
+            ids = pending[begin : begin + size]
+            started = time.perf_counter()
+            passes.append(solve([ids]))
+            if passes[-1].stopped_early or passes[-1].failed:
+                break
+            elapsed = max(time.perf_counter() - started, 1e-9)
+            fits = int(len(ids) * _INLINE_CHUNK_SECONDS / elapsed)
+            begin += len(ids)
+            size = max(1, min(_MAX_CHUNK_ROWS, 2 * len(ids), fits))
+        run = _joined(passes)
+    else:
+        size = min(_MAX_CHUNK_ROWS, max(1, math.ceil(len(pending) / (4 * executor.num_workers))))
+        run = solve([pending[begin : begin + size] for begin in range(0, len(pending), size)])
     if checkpoint_sink is not None and fresh != saved:
         save()
     run.metadata["from_checkpoint"] = len(graph) - len(pending)
     return solved, run
 
 
+#: The scheduler counters every backend reports alongside its own keys.
+_SCHEDULER_COUNTERS = (
+    "dispatches", "retries", "crashes", "duplicates_discarded", "steals", "from_checkpoint",
+)
+
+
+def _joined(passes: list[SchedulerRun]) -> SchedulerRun:
+    """The scheduler passes of one inline chunked run, reported as one run."""
+    run = SchedulerRun(graph_order=[task_id for part in passes for task_id in part.graph_order])
+    for part in passes:
+        run.results.update(part.results)
+        run.failed.update(part.failed)
+        run.stopped_early = run.stopped_early or part.stopped_early
+        run.wall_time += part.wall_time
+    run.completed = len(run.results) == len(run.graph_order)
+    run.metadata = {
+        key: sum(part.metadata.get(key, 0) for part in passes) for key in _SCHEDULER_COUNTERS
+    }
+    return run
+
+
 def _scheduler_metadata(run: SchedulerRun) -> dict[str, Any]:
     """The scheduler counters every backend reports alongside its own keys."""
-    keys = ("dispatches", "retries", "crashes", "duplicates_discarded", "steals",
-            "from_checkpoint")
-    return {key: run.metadata[key] for key in keys if key in run.metadata}
+    return {key: run.metadata[key] for key in _SCHEDULER_COUNTERS if key in run.metadata}
 
 
 @register_backend("serial", description="one in-process solver loop")
 class SerialBackend:
-    """Solve every sub-problem sequentially in the calling process."""
+    """Solve every sub-problem sequentially in the calling process.
+
+    The family travels in chunks, each solved by one ``solve_batch`` call on
+    a solver loaded once per run: the first chunk holds one row, and each
+    next one twice as many as the last, up to 64 — fewer when the last one
+    took more than an eighth of a second, so that progress events (where a
+    caller can stop the run) stay about a quarter of a second apart.  The
+    scheduler's ``dispatches`` (and trace task events) count chunks;
+    progress events, checkpoint records and ``checkpoint_every`` stay per
+    sub-problem, and every status, cost and model equals a fresh solve of
+    that row.  ``stop_on_sat`` solves no chunk after the first one that
+    holds a satisfiable row, and reports the outcomes up to that row.
+    Solvers without ``solve_batch``, or with ``simplify`` on, get one fresh
+    solve per row.
+    """
 
     name = "serial"
 
@@ -411,11 +500,11 @@ class ProcessPoolBackend:
     ``solve_batch`` call on a solver loaded once per worker, so the
     scheduler's ``dispatches`` (and trace task events) count chunks; progress
     events, checkpoint records and ``checkpoint_every`` stay per sub-problem,
-    and every status, cost and model equals the serial backend's.  Solvers
-    without ``solve_batch``, or with ``simplify`` on, get one fresh solve per
-    row.  ``stop_on_sat`` is emulated by truncating the outcome list at the
-    first satisfiable sub-problem, which reproduces exactly what the serial
-    backend would have reported.
+    and every status, cost and model equals a fresh solve of that row.
+    Solvers without ``solve_batch``, or with ``simplify`` on, get one fresh
+    solve per row.  ``stop_on_sat`` is emulated by truncating the outcome
+    list at the first satisfiable sub-problem, which reproduces exactly what
+    the serial backend would have reported.
     """
 
     name = "process-pool"

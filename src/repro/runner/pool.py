@@ -10,9 +10,9 @@ decomposition family in solving mode.  That one job is written once here:
   solves the task's rows against the run's formula and returns
   :class:`SubproblemOutcome` records.  A batched state's tasks carry a tuple
   of rows — a chunk of a batched estimation's sample, or of a family solved
-  on the process pool — solved together by ``solve_batch`` on a solver
-  loaded once per thread; every other task carries one row, solved by a
-  fresh ``solve(cnf, row)``.
+  on the serial executor or the process pool — solved together by
+  ``solve_batch`` on a solver loaded once per thread; every other task
+  carries one row, solved by a fresh ``solve(cnf, row)``.
 * :func:`worker_executor` is the one executor factory: serial (inline),
   thread, real process pool or simulated virtual-clock cluster, each running
   the same kernel.  Scheduled estimation

@@ -1,16 +1,21 @@
 """The blocking JSONL client for the service daemon.
 
-One request per connection: the client connects, writes one JSON line, reads
-the response line(s) and disconnects — no connection state to resynchronise
-after either side restarts.  ``watch`` is the one streaming op: the server
-keeps the connection open and writes one line per progress event until the
-job reaches a terminal state.
+Keep-alive: each thread that uses a client gets its own connection, opened
+on its first request and reused for every request after it — the client
+writes one JSON line and reads the response line, and the daemon serves the
+connection until it is closed.  ``watch`` is the one streaming op: the
+server writes one line per progress event until the job reaches a terminal
+state, after which the connection serves requests again.  A ``watch``
+generator closed before its terminal line drops its connection, so the
+thread's next request opens a fresh one instead of reading stale events.
 
-The client is built for an unreliable daemon: connects retry with
-exponential backoff plus jitter (the daemon may be restarting), ``submit``
-retries errors the daemon marks *retriable* (``backpressure`` from a full
-queue), and ``wait`` polls with exponential backoff instead of a fixed-rate
-spin.
+The client is built for an unreliable daemon: a daemon that stops shuts
+down every open connection, and a request that finds its reused connection
+closed reconnects once and sends again (to the restarted daemon, or to
+whichever daemon serves the address now); connects retry with exponential
+backoff plus jitter (the daemon may be restarting), ``submit`` retries
+errors the daemon marks *retriable* (``backpressure`` from a full queue),
+and ``wait`` polls with exponential backoff instead of a fixed-rate spin.
 
 The address is either a unix-socket path (the default deployment) or a
 ``(host, port)`` tuple for the TCP listener.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import threading
 import time
 from collections.abc import Iterator
 from typing import Any
@@ -31,8 +37,46 @@ from repro.service.daemon import ServiceError
 TERMINAL_STATES = ("done", "failed", "cancelled", "timed-out")
 
 
+class _Connection:
+    """One open connection to the daemon: the socket and its line reader."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def exchange(self, payload: bytes) -> bytes:
+        """Send one request line; returns the first response line.
+
+        Returns ``b""``, and closes the connection, when the daemon has
+        closed it; any other failure closes it too and raises.
+        """
+        try:
+            self.sock.sendall(payload)
+            line = self.reader.readline()
+        except ConnectionError:
+            line = b""
+        except BaseException:
+            self.close()
+            raise
+        if not line:
+            self.close()
+        return line
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    # A connection lives in its thread's slot of a client: it is released
+    # when that thread ends or the client is dropped.
+    __del__ = close
+
+
 class ServiceClient:
-    """Talk to a :class:`~repro.service.daemon.ServiceDaemon`."""
+    """Talk to a :class:`~repro.service.daemon.ServiceDaemon`.
+
+    One client may be shared by several threads: each gets its own
+    connection, kept until the thread ends or the client is dropped.
+    """
 
     def __init__(
         self,
@@ -49,6 +93,7 @@ class ServiceClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._rng = rng if rng is not None else random.Random()
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ plumbing
     def _backoff(self, attempt: int) -> float:
@@ -56,7 +101,7 @@ class ServiceClient:
         ceiling = min(self.backoff_cap, self.backoff_base * (2**attempt))
         return self._rng.uniform(0, ceiling)
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> _Connection:
         """Connect, retrying with backoff — the daemon may be restarting."""
         last_error: Exception | None = None
         for attempt in range(self.connect_retries + 1):
@@ -69,7 +114,7 @@ class ServiceClient:
             sock.settimeout(self.timeout)
             try:
                 sock.connect(self.address)
-                return sock
+                return _Connection(sock)
             except (ConnectionRefusedError, FileNotFoundError, ConnectionResetError) as error:
                 sock.close()
                 last_error = error
@@ -80,16 +125,39 @@ class ServiceClient:
             retriable=True,
         )
 
-    def _request(self, op: str, **params: Any) -> dict[str, Any]:
-        with self._connect() as sock:
-            sock.sendall((json.dumps({"op": op, **params}) + "\n").encode())
-            reader = sock.makefile("rb")
-            line = reader.readline()
+    def _send(self, op: str, **params: Any) -> tuple[_Connection, bytes]:
+        """Send one request on this thread's connection; returns it and the first line.
+
+        The connection leaves the thread's slot until :meth:`_keep` returns
+        it.  A reused connection the daemon has closed since (it stopped or
+        restarted) is replaced once; a fresh one that closes raises the
+        retriable ``disconnect`` error.
+        """
+        payload = (json.dumps({"op": op, **params}) + "\n").encode()
+        connection = self._local.__dict__.pop("connection", None)
+        line = connection.exchange(payload) if connection is not None else b""
         if not line:
-            raise ServiceError(
-                f"daemon closed the connection on {op!r}", code="disconnect", retriable=True
-            )
-        return self._check(json.loads(line))
+            connection = self._connect()
+            line = connection.exchange(payload)
+            if not line:
+                raise ServiceError(
+                    f"daemon closed the connection on {op!r}", code="disconnect",
+                    retriable=True,
+                )
+        return connection, line
+
+    def _keep(self, connection: _Connection) -> None:
+        """Return ``connection`` to this thread's slot (or close it if the slot is taken)."""
+        if getattr(self._local, "connection", None) is None:
+            self._local.connection = connection
+        else:
+            connection.close()
+
+    def _request(self, op: str, **params: Any) -> dict[str, Any]:
+        connection, line = self._send(op, **params)
+        response = json.loads(line)  # an unparseable answer drops the connection
+        self._keep(connection)
+        return self._check(response)
 
     @staticmethod
     def _check(response: dict[str, Any]) -> dict[str, Any]:
@@ -165,18 +233,26 @@ class ServiceClient:
         """Yield progress events as they happen; the final item has ``done``.
 
         Each yielded dict is either ``{"event": {...}}`` (one progress event)
-        or ``{"done": True, "state": ...}`` terminating the stream.
+        or ``{"done": True, "state": ...}`` terminating the stream.  The
+        stream holds its own connection: it is kept for the thread's next
+        request once the terminal line has arrived, and closed if the
+        generator is closed (or the stream fails) before that.
         """
-        with self._connect() as sock:
-            sock.sendall(
-                (json.dumps({"op": "watch", "job_id": job_id, "from_seq": from_seq}) + "\n").encode()
-            )
-            reader = sock.makefile("rb")
-            for line in reader:
+        connection, line = self._send("watch", job_id=job_id, from_seq=from_seq)
+        done = False
+        try:
+            while line:
                 response = self._check(json.loads(line))
+                done = bool(response.get("done"))
                 yield response
-                if response.get("done"):
+                if done:
                     return
+                line = connection.reader.readline()
+        finally:
+            if done:
+                self._keep(connection)
+            else:
+                connection.close()
         raise ServiceError(f"watch stream for job {job_id} ended without a terminal state")
 
     def wait(

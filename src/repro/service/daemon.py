@@ -10,9 +10,10 @@ One :class:`ServiceDaemon` owns five things:
   rewritten atomically, so a killed daemon restarts knowing exactly which
   jobs were in flight — those are re-queued and resume from their scheduler
   checkpoints (``state_dir/checkpoints/<content-key>.ckpt``, forced into
-  solve/run configs that did not bring their own).  A corrupt/truncated
-  journal is quarantined to ``jobs.json.corrupt`` and the daemon starts
-  empty instead of refusing to come up;
+  solve/run configs that did not bring their own).  The file is always one
+  complete compact JSON document.  A corrupt/truncated journal is
+  quarantined to ``jobs.json.corrupt`` and the daemon starts empty instead
+  of refusing to come up;
 * the **content-addressed store** (``state_dir/results/``): a submission
   whose key is already archived completes instantly as a cache hit, and a
   submission whose key is already queued/running coalesces onto that job;
@@ -26,7 +27,11 @@ One :class:`ServiceDaemon` owns five things:
 * a **socket server** speaking newline-delimited JSON (one request line, one
   response line; ``watch`` streams) over a unix socket — or TCP when the
   config names a host/port — serving submit/status/result/cancel/watch/
-  jobs/stats/shutdown.
+  jobs/stats/shutdown.  A connection stays open and is served request after
+  request until the client closes it; a line that is not a JSON request
+  gets the ``protocol`` error and closes it.  Stopping the daemon shuts
+  down every open connection, so a client holding one sees end-of-file
+  and reconnects to whichever daemon serves the address next.
 
 Quotas are per tenant and count *active* (queued + running) jobs; queue
 depth is bounded by ``max_queue_depth`` — a full queue rejects with a
@@ -296,7 +301,7 @@ class ServiceDaemon:
     def _save_journal(self) -> None:
         payload = {"jobs": [job.to_dict() for job in self._jobs.values()]}
         scratch = self._journal_path.with_suffix(f".{os.getpid():x}.tmp")
-        scratch.write_text(json.dumps(payload, indent=2))
+        scratch.write_text(json.dumps(payload, separators=(",", ":")))
         scratch.replace(self._journal_path)
 
     def _push(self, job: JobRecord) -> None:
@@ -751,44 +756,14 @@ class ServiceDaemon:
 
     # -------------------------------------------------------------------- server
     def _start_server(self) -> None:
-        daemon = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                line = self.rfile.readline()
-                if not line:
-                    return
-                try:
-                    request = json.loads(line)
-                    daemon._handle_request(request, self.wfile)
-                except Exception as error:  # noqa: BLE001 — protocol errors -> client
-                    _write_line(
-                        self.wfile,
-                        {
-                            "ok": False,
-                            "error": str(error),
-                            "code": "protocol",
-                            "retriable": False,
-                        },
-                    )
-
         if self.config.host is not None:
-
-            class TCPServer(socketserver.ThreadingTCPServer):
-                allow_reuse_address = True
-                daemon_threads = True
-
-            self._server = TCPServer((self.config.host, self.config.port), Handler)
+            self._server = _TCPServer((self.config.host, self.config.port), self)
         else:
-
-            class UnixServer(socketserver.ThreadingUnixStreamServer):
-                daemon_threads = True
-
             path = Path(self.socket_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             if path.exists():
                 path.unlink()  # stale socket from a killed daemon
-            self._server = UnixServer(str(path), Handler)
+            self._server = _UnixServer(str(path), self)
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
             name="repro-service-server",
@@ -800,6 +775,9 @@ class ServiceDaemon:
     def _stop_server(self) -> None:
         if self._server is not None:
             self._server.shutdown()
+            # Handler threads outlive serve_forever: without this, a client's
+            # open connection would go on being answered by a stopped daemon.
+            self._server.close_connections()
             self._server.server_close()
             self._server = None
         if self._server_thread is not None:
@@ -867,7 +845,10 @@ class ServiceDaemon:
             )
 
     def _stream_watch(self, job_id: str, from_seq: int, wfile) -> None:
-        """Stream progress events (one JSON line each) until the job ends."""
+        """Stream progress events (one JSON line each) until the job ends.
+
+        Stops early when the client has gone (a write fails).
+        """
         last = from_seq
         while True:
             with self._lock:
@@ -875,15 +856,10 @@ class ServiceDaemon:
                 fresh = [event for event in job.events if event["seq"] > last]
                 state = job.state
             for event in fresh:
-                _write_line(wfile, {"ok": True, "event": event})
+                if not _write_line(wfile, {"ok": True, "event": event}):
+                    return
                 last = event["seq"]
-            if state.terminal:
-                _write_line(
-                    wfile,
-                    {"ok": True, "done": True, "state": state.value, "last_seq": last},
-                )
-                return
-            if self._stopping:
+            if state.terminal or self._stopping:
                 _write_line(
                     wfile,
                     {"ok": True, "done": True, "state": state.value, "last_seq": last},
@@ -892,12 +868,85 @@ class ServiceDaemon:
             time.sleep(0.02)
 
 
-def _write_line(wfile, payload: dict[str, Any]) -> None:
+class _Handler(socketserver.StreamRequestHandler):
+    """One client connection: request after request until the client closes it."""
+
+    def handle(self) -> None:
+        while True:
+            try:
+                line = self.rfile.readline()
+            except OSError:
+                return  # reset by the client, or shut down by the daemon
+            if not line:
+                return
+            try:
+                request = json.loads(line)
+                self.server.daemon._handle_request(request, self.wfile)
+            except Exception as error:  # noqa: BLE001 — protocol errors -> client
+                _write_line(
+                    self.wfile,
+                    {
+                        "ok": False,
+                        "error": str(error),
+                        "code": "protocol",
+                        "retriable": False,
+                    },
+                )
+                return  # the stream may be out of step: close the connection
+
+
+class _KeepAliveServer(socketserver.ThreadingMixIn):
+    """A threading server that tracks its open connections.
+
+    Each accepted connection gets a handler thread that serves it until the
+    client closes it; :meth:`close_connections` shuts every one down, so no
+    handler goes on answering for a stopped daemon.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, daemon: ServiceDaemon):
+        self.daemon = daemon
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by the client
+
+
+class _TCPServer(_KeepAliveServer, socketserver.TCPServer):
+    allow_reuse_address = True
+
+
+class _UnixServer(_KeepAliveServer, socketserver.UnixStreamServer):
+    pass
+
+
+def _write_line(wfile, payload: dict[str, Any]) -> bool:
+    """Write one response line; false when the client has gone."""
     try:
         wfile.write((json.dumps(payload) + "\n").encode())
         wfile.flush()
-    except (BrokenPipeError, ConnectionResetError, socket.error):
-        pass  # client went away mid-stream; nothing to salvage
+    except OSError:
+        return False  # client went away mid-stream; nothing to salvage
+    return True
 
 
 __all__ = [

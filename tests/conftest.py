@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.ciphers import Geffe
@@ -39,3 +41,33 @@ def tiny_unsat_cnf() -> CNF:
 def geffe_instance():
     """A Geffe-tiny inversion instance used by several integration-level tests."""
     return make_inversion_instance(Geffe.tiny(), keystream_length=24, seed=5)
+
+
+@pytest.fixture
+def slow_rows():
+    """Register the ``slow-rows`` solver for one test; yields the rows it solved.
+
+    It is the CDCL solver with every batched row made ``delay`` seconds
+    (default 0.15) slower, solved one row at a time, so the test sees how
+    many rows a run got through.
+    """
+    from repro.api.registry import SOLVERS, register_solver
+
+    solved: list[tuple[int, ...]] = []
+
+    class SlowRows(CDCLSolver):
+        def __init__(self, delay: float = 0.15):
+            super().__init__()
+            self.delay = delay
+
+        def solve_batch(self, assumption_rows, cnf=None, budget=None, trace=None):
+            results = []
+            for row in assumption_rows:
+                time.sleep(self.delay)
+                results += super().solve_batch([row], cnf=cnf, budget=budget, trace=trace)
+                solved.append(tuple(row))
+            return results
+
+    register_solver("slow-rows", description="CDCL with slow batched rows (tests)")(SlowRows)
+    yield solved
+    SOLVERS.unregister("slow-rows")

@@ -3,10 +3,11 @@
 Every runner path — the four execution backends and scheduled estimation on
 any executor — runs one kernel on per-run worker state.  The race tests below
 pin what that buys: a process pool that degraded to threads, and two runs
-sharing one process, each return exactly the serial results.  On the process
-pool a family travels in ``solve_batch`` chunks; the tests below pin it to
-the serial backend row for row, checkpoints included, and check that no pool
-run leaves a process behind.
+sharing one process, each return exactly the serial results.  On the serial
+backend and the process pool a family travels in ``solve_batch`` chunks; the
+tests below pin both to a fresh solve of every row, check that either
+backend resumes the other's checkpoints, that slow rows keep the serial
+backend's chunks to one row, and that no pool run leaves a process behind.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from repro.api.backends import (
     SimulatedClusterBackend,
     VolunteerGridBackend,
 )
-from repro.api.specs import BackendSpec, InstanceSpec
+from repro.api.specs import BackendSpec, InstanceSpec, SolverSpec
 from repro.ciphers import Geffe
 from repro.core.decomposition import DecompositionSet
 from repro.problems import make_inversion_instance
 from repro.runner.cluster import simulate_makespan
 from repro.runner.estimation import estimate_family_scheduled
 from repro.runner.scheduler import SchedulerCheckpoint
+from repro.sat.cdcl import CDCLSolver
 from repro.sat.solver import SolverBudget, SolverStatus
 
 #: Checkpoints written by the code before the row-solving kernel existed.
@@ -163,12 +165,35 @@ def no_process_pool(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def untimed_chunks(monkeypatch):
+    """Let no inline chunk overrun its time, so serial chunks hold 1, 2, 4, …, 64 rows."""
+    import repro.api.backends as backends
+
+    monkeypatch.setattr(backends, "_INLINE_CHUNK_SECONDS", 1e9)
+
+
+def _fresh_answers(instance, vectors, budget=None, stop_on_sat=False) -> list[tuple]:
+    """The oracle: one fresh ``CDCLSolver().solve(cnf, row)`` per row."""
+    answers = []
+    for row in vectors:
+        result = CDCLSolver().solve(instance.cnf, assumptions=list(row), budget=budget)
+        answers.append(
+            (result.status, result.stats.cost("propagations"),
+             result.model if result.is_sat else None)
+        )
+        if stop_on_sat and result.status is SolverStatus.SAT:
+            break
+    return answers
+
+
 class TestChunkedFamily:
-    """On the pool a family is solved in chunks, and the answers stay the serial ones."""
+    """Serial and pool solve a family in chunks; every answer is a fresh solve's."""
 
     @pytest.fixture(scope="class")
     def family(self):
-        # 128 rows on 2 processes: chunks of 16, so each worker takes several.
+        # 128 rows: inline chunks of 1, 2, 4, ..., 64 rows and then the last
+        # row, and chunks of 16 on 2 processes, so each worker takes several.
         return _family("bivium-tiny", seed=5, width=7, known_bits=8)
 
     @pytest.mark.parametrize(
@@ -176,18 +201,64 @@ class TestChunkedFamily:
         [{}, {"stop_on_sat": True}, {"budget": SolverBudget(max_conflicts=1)}],
         ids=["plain", "stop-on-sat", "one-conflict-budget"],
     )
-    def test_pool_equals_serial_row_for_row(self, family, options):
+    def test_pool_equals_serial_row_for_row(self, family, options, untimed_chunks):
         instance, vectors = family
+        expected = _fresh_answers(instance, vectors, **options)
         serial = SerialBackend().run(instance.cnf, vectors, **options)
         pooled = ProcessPoolBackend(processes=2).run(instance.cnf, vectors, **options)
-        assert _answers(pooled) == _answers(serial)
-        assert [o.assumptions for o in pooled.outcomes] == [o.assumptions for o in serial.outcomes]
+        for run in (serial, pooled):
+            assert _answers(run) == expected
+            assert [o.assumptions for o in run.outcomes] == [
+                tuple(row) for row in vectors[: len(expected)]
+            ]
+        # Under stop_on_sat the 105th row, the first SAT one, is in the 7th
+        # chunk (rows 64-127), and no chunk comes after it.
+        assert serial.metadata["dispatches"] == (7 if "stop_on_sat" in options else 8)
         assert pooled.metadata["dispatches"] == 8
         if "budget" in options:
-            assert sum(o.status is SolverStatus.UNKNOWN for o in pooled.outcomes) == 120
+            assert sum(status is SolverStatus.UNKNOWN for status, _, _ in expected) == 120
         if "stop_on_sat" in options:
-            assert pooled.outcomes[-1].status is SolverStatus.SAT
-            assert len(pooled.outcomes) < len(vectors)
+            assert expected[-1][0] is SolverStatus.SAT
+            assert len(expected) < len(vectors)
+
+    def test_serial_resume_past_a_sat_row_dispatches_nothing(self, family):
+        instance, vectors = family
+        snapshots: list[SchedulerCheckpoint] = []
+        stopped = SerialBackend().run(
+            instance.cnf, vectors, stop_on_sat=True, checkpoint_sink=snapshots.append
+        )
+        # Keep the records up to the first SAT row: the rows after it are missing.
+        prefix = {f"sub-{index:06d}" for index in range(len(stopped.outcomes))}
+        partial = SchedulerCheckpoint(
+            results={k: v for k, v in snapshots[-1].results.items() if k in prefix},
+            metadata=snapshots[-1].metadata,
+        )
+        assert len(partial) == len(stopped.outcomes) < len(vectors)
+        resumed = SerialBackend().run(instance.cnf, vectors, stop_on_sat=True, checkpoint=partial)
+        assert resumed.metadata["dispatches"] == 0
+        assert _answers(resumed) == _answers(stopped)
+
+    def test_slow_rows_keep_serial_chunks_to_one_row(self, slow_rows):
+        # Every row takes 0.15 s, more than half of the 0.25 s an inline
+        # chunk may run: each chunk holds one row, so a progress callback
+        # that stops the run at its 3rd event leaves no 4th row solved.
+        instance, vectors = _family("geffe-tiny", seed=1, width=4)
+        events: list[int] = []
+
+        def progress(done, total):
+            events.append(done)
+            if done == 3:
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            SerialBackend().run(
+                instance.cnf, vectors, solver=SolverSpec(name="slow-rows"), progress=progress
+            )
+        assert events == [1, 2, 3]
+        assert len(slow_rows) == 3
+        run = SerialBackend().run(instance.cnf, vectors[:4], solver=SolverSpec(name="slow-rows"))
+        assert run.metadata["dispatches"] == 4
+        assert _answers(run) == _fresh_answers(instance, vectors[:4])
 
 
 class _Stop(Exception):
@@ -223,16 +294,19 @@ class TestCheckpointsAcrossBackends:
         assert resumed.metadata["from_checkpoint"] == len(partial)
         assert _answers(resumed) == expected
 
-    def test_pool_resumes_a_stopped_serial_run(self, family):
+    def test_pool_resumes_a_stopped_serial_run(self, family, untimed_chunks):
         instance, vectors, expected = family
+        # Serial chunks hold 1, 2, 4, 8, 16 and then 32 rows (rows 32-63), and
+        # each chunk's checkpoint is taken before its progress events: the
+        # 40th event comes after the sixth chunk's checkpoint.
         partial = _stopped_at(SerialBackend(), instance, vectors, events=40)
-        assert len(partial) == 39
+        assert len(partial) == 63
         events: list[int] = []
         resumed = ProcessPoolBackend(processes=2).run(
             instance.cnf, vectors, checkpoint=partial,
             progress=lambda done, total: events.append(done),
         )
-        assert resumed.metadata["from_checkpoint"] == 39
+        assert resumed.metadata["from_checkpoint"] == 63
         assert events == list(range(1, len(vectors) + 1))
         assert _answers(resumed) == expected
 

@@ -8,6 +8,9 @@ The suite drives real daemons over real unix sockets — the same code path as
   identical submissions coalesce onto one job;
 * per-tenant quotas reject, priorities reorder;
 * concurrent clients hammering one daemon stay consistent;
+* keep-alive: a client thread reuses one connection, a stopping daemon shuts
+  every connection down, and a client reconnects to the next daemon;
+* the journal is one complete document after every transition;
 * a daemon killed mid-job (``stop_hard_for_tests``: the journal is left
   exactly as ``kill -9`` would leave it) restarts, resumes from the
   scheduler checkpoint and produces results bit-identical to an
@@ -22,7 +25,7 @@ import time
 
 import pytest
 
-from repro.api import Experiment, ExperimentConfig, InstanceSpec, MinimizerSpec
+from repro.api import Experiment, ExperimentConfig, InstanceSpec, MinimizerSpec, SolverSpec
 from repro.service import (
     JobState,
     ServiceClient,
@@ -31,6 +34,7 @@ from repro.service import (
     ServiceError,
     content_key,
 )
+from repro.service.chaos import ChaosPolicy
 
 
 def _estimate_config(seed: int = 1, evaluations: int = 3) -> dict:
@@ -48,6 +52,24 @@ def _solve_config(decomposition_bits: int = 8, seed: int = 1) -> dict:
         decomposition=tuple(range(1, decomposition_bits + 1)),
         seed=seed,
     ).to_dict()
+
+
+def _slow_solve_config(decomposition_bits: int = 6) -> dict:
+    """A solve job on the ``slow-rows`` solver: every sub-problem takes 0.15 s."""
+    return ExperimentConfig(
+        instance=InstanceSpec(cipher="geffe-tiny", seed=1),
+        decomposition=tuple(range(1, decomposition_bits + 1)),
+        solver=SolverSpec(name="slow-rows"),
+    ).to_dict()
+
+
+def _hold_at_event(daemon: ServiceDaemon, event: int) -> None:
+    """Hold the daemon's next job at its ``event``-th progress event.
+
+    The job stays in flight there, however fast its rows are, until it is
+    cancelled, interrupted or timed out (the chaos hook's cooperative hang).
+    """
+    daemon.chaos = ChaosPolicy(hang_jobs=1, min_event=event, max_event=event)
 
 
 @pytest.fixture()
@@ -204,6 +226,7 @@ class TestCancellation:
 
     def test_cancel_running_job_stops_it_mid_family(self, daemon_factory):
         daemon = daemon_factory(workers=1)
+        _hold_at_event(daemon, 3)  # in flight until cancelled
         client = ServiceClient(daemon.socket_path)
         running = client.submit("solve", _solve_config(decomposition_bits=10))
         _wait_for_progress(client, running["job_id"])
@@ -211,6 +234,19 @@ class TestCancellation:
         job = client.wait(running["job_id"])
         assert job["state"] == "cancelled"
         assert daemon.stats()["store_entries"] == 0
+
+    def test_cancel_lands_within_a_row_of_slow_rows(self, daemon_factory, slow_rows):
+        # 64 sub-problems of 0.15 s each: the serial backend keeps its chunks
+        # to one row, so the job sees the cancel at the next row's event.
+        daemon = daemon_factory(workers=1)
+        client = ServiceClient(daemon.socket_path)
+        running = client.submit("solve", _slow_solve_config())
+        _wait_for_progress(client, running["job_id"])
+        client.cancel(running["job_id"])
+        at_cancel = len(slow_rows)
+        job = client.wait(running["job_id"])
+        assert job["state"] == "cancelled"
+        assert at_cancel <= len(slow_rows) <= at_cancel + 1
 
 
 class TestConcurrentClients:
@@ -268,10 +304,13 @@ class TestKillAndResume:
         reference = Experiment.from_config(ExperimentConfig.from_dict(config)).solve()
 
         daemon = daemon_factory(workers=1)
+        # Held at the event of its 39th sub-problem, so the kill finds it in
+        # flight.  The facade checkpoints every len(vectors)//256 = 4
+        # sub-problems, each chunk's checkpoint before its progress events:
+        # waiting for 32 guarantees a checkpoint is on disk before the kill.
+        _hold_at_event(daemon, 40)
         client = ServiceClient(daemon.socket_path)
         submitted = client.submit("solve", config)
-        # The facade checkpoints every len(vectors)//256 = 4 sub-problems:
-        # waiting for 32 guarantees a checkpoint is on disk before the kill.
         _wait_for_progress(client, submitted["job_id"], min_completed=32)
         daemon.stop_hard_for_tests()
 
@@ -295,6 +334,7 @@ class TestKillAndResume:
 
     def test_graceful_shutdown_requeues_in_flight_jobs(self, daemon_factory):
         daemon = daemon_factory(workers=1)
+        _hold_at_event(daemon, 40)  # in flight until the shutdown interrupts it
         client = ServiceClient(daemon.socket_path)
         submitted = client.submit("solve", _solve_config(decomposition_bits=10))
         _wait_for_progress(client, submitted["job_id"], min_completed=32)
@@ -475,7 +515,7 @@ class TestResourceBudgets:
         client = ServiceClient(daemon.socket_path)
         doomed = client.submit(
             "solve",
-            _solve_config(decomposition_bits=10),  # 1024 sub-problems: slow
+            _solve_config(decomposition_bits=14),  # 16,384 sub-problems: slow
             budget={"wall_seconds": 0.2},
         )
         job = client.wait(doomed["job_id"], timeout=60.0)
@@ -489,6 +529,19 @@ class TestResourceBudgets:
         # no worker was written off.
         clean = client.submit("estimate", _estimate_config())
         assert client.wait(clean["job_id"])["state"] == "done"
+        assert daemon.stats()["abandoned_workers"] == 0
+
+    def test_wall_budget_lands_within_a_row_of_slow_rows(self, daemon_factory, slow_rows):
+        # 64 sub-problems of 0.15 s each, with one-row chunks: the fourth row
+        # ends past the 0.5 s budget at the latest, and its progress event
+        # stops the job.
+        daemon = daemon_factory(workers=1)
+        client = ServiceClient(daemon.socket_path)
+        doomed = client.submit("solve", _slow_solve_config(), budget={"wall_seconds": 0.5})
+        job = client.wait(doomed["job_id"], timeout=60.0)
+        assert job["state"] == "timed-out"
+        assert "wall-clock" in job["budget_verdict"]
+        assert 1 <= len(slow_rows) <= 4
         assert daemon.stats()["abandoned_workers"] == 0
 
     def test_invalid_budget_is_a_bad_request(self, daemon_factory):
@@ -518,7 +571,7 @@ class TestResourceBudgets:
             default_budget=ResourceBudget(wall_seconds=0.2),
         )
         client = ServiceClient(daemon.socket_path)
-        outcome = client.submit("solve", _solve_config(decomposition_bits=10))
+        outcome = client.submit("solve", _solve_config(decomposition_bits=14))
         job = client.wait(outcome["job_id"], timeout=60.0)
         assert job["state"] == "timed-out"
         assert job["budget"] == {"wall_seconds": 0.2}
@@ -565,3 +618,162 @@ class TestBackpressure:
         with pytest.raises(ServiceError) as excinfo:
             client.submit("transmogrify", _estimate_config())
         assert excinfo.value.code == "bad-request"
+
+
+def _count_connections(daemon: ServiceDaemon) -> list[int]:
+    """Count the connections ``daemon`` accepts from now on (one entry each)."""
+    accepted: list[int] = []
+    process_request = daemon._server.process_request
+
+    def counting(request, client_address):
+        accepted.append(1)
+        process_request(request, client_address)
+
+    daemon._server.process_request = counting
+    return accepted
+
+
+def _shutdown_within(daemon: ServiceDaemon, seconds: float) -> bool:
+    """Shut ``daemon`` down from a thread; true when that took under ``seconds``."""
+    stopper = threading.Thread(target=daemon.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(seconds)
+    return not stopper.is_alive()
+
+
+class TestKeepAlive:
+    """A client keeps one connection per thread; the daemon serves it until EOF."""
+
+    def test_submit_watch_result_share_one_connection(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        accepted = _count_connections(daemon)
+        client = ServiceClient(daemon.socket_path)
+        outcome = client.submit("solve", _solve_config(decomposition_bits=6))
+        messages = list(client.watch(outcome["job_id"]))
+        assert messages[-1]["done"] and messages[-1]["state"] == "done"
+        assert client.result(outcome["job_id"])["kind"] == "solve"
+        assert len(accepted) == 1
+
+    def test_a_client_of_a_stopped_daemon_gets_the_next_daemons_answer(self, tmp_path):
+        socket_path = str(tmp_path / "shared.sock")
+
+        def start(state: str) -> ServiceDaemon:
+            return ServiceDaemon(
+                ServiceConfig(state_dir=str(tmp_path / state), socket_path=socket_path,
+                              workers=1, sweep_shared_memory=False)
+            ).start()
+
+        first = start("a")
+        client = ServiceClient(socket_path)
+        try:
+            submitted = client.submit("estimate", _estimate_config())
+            assert client.wait(submitted["job_id"])["state"] == "done"
+            assert [job["job_id"] for job in client.jobs()] == [submitted["job_id"]]
+        finally:
+            assert _shutdown_within(first, 10.0)  # the client's connection is still open
+        second = start("b")
+        try:
+            accepted = _count_connections(second)
+            # The connection to the first daemon is dead: replaced once.
+            assert client.jobs() == []
+            with pytest.raises(ServiceError, match="unknown job id"):
+                client.status(submitted["job_id"])
+            assert len(accepted) == 1
+        finally:
+            second.shutdown()
+
+    def test_a_closed_watch_drops_its_connection(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        accepted = _count_connections(daemon)
+        client = ServiceClient(daemon.socket_path)
+        running = client.submit("solve", _solve_config(decomposition_bits=14))
+        stream = client.watch(running["job_id"])
+        first = next(stream)
+        assert "event" in first
+        stream.close()  # events are still being streamed on that connection
+        job = client.status(running["job_id"])
+        assert job["job_id"] == running["job_id"]
+        assert job["state"] in ("queued", "running")
+        assert client.cancel(running["job_id"])["job_id"] == running["job_id"]
+        assert client.wait(running["job_id"])["state"] == "cancelled"
+        assert len(accepted) == 2  # the watch's connection, then a fresh one
+
+    def test_threads_sharing_a_client_get_their_own_answers(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        setup = ServiceClient(daemon.socket_path)
+        job_ids = [setup.submit("estimate", _estimate_config(seed=seed))["job_id"]
+                   for seed in (51, 52)]
+        for job_id in job_ids:
+            setup.wait(job_id)
+        accepted = _count_connections(daemon)
+        shared = ServiceClient(daemon.socket_path)
+        barrier = threading.Barrier(len(job_ids))
+        answers: dict[str, list[str]] = {job_id: [] for job_id in job_ids}
+        errors: list[Exception] = []
+
+        def ask(job_id: str) -> None:
+            try:
+                for _ in range(20):
+                    barrier.wait(30.0)  # both threads have a request in flight at once
+                    answers[job_id].append(shared.status(job_id)["job_id"])
+            except Exception as error:  # noqa: BLE001 — surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=ask, args=(job_id,)) for job_id in job_ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        assert not errors
+        assert answers == {job_id: [job_id] * 20 for job_id in job_ids}
+        assert len(accepted) == 2
+
+    def test_shutdown_is_prompt_while_a_client_holds_an_idle_connection(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        client = ServiceClient(daemon.socket_path)
+        assert client.ping()["ok"]  # the connection stays open, idle
+        assert _shutdown_within(daemon, 5.0)
+
+    def test_non_json_line_gets_protocol_error_then_the_connection_closes(
+        self, daemon_factory
+    ):
+        import socket
+
+        daemon = daemon_factory(workers=1)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(daemon.socket_path)
+            reader = sock.makefile("rb")
+            for _ in range(2):  # the connection serves request after request
+                sock.sendall(b'{"op": "ping"}\n')
+                assert json.loads(reader.readline())["ok"] is True
+            sock.sendall(b"this is not json\n")
+            error = json.loads(reader.readline())
+            assert error["ok"] is False and error["code"] == "protocol"
+            assert reader.readline() == b""
+            reader.close()
+
+
+class TestJournal:
+    """Every save leaves one complete document."""
+
+    def test_every_transition_leaves_a_complete_journal(self, daemon_factory):
+        daemon = daemon_factory(workers=1)
+        seen: list[tuple[list[dict], list[dict]]] = []
+        save = daemon._save_journal
+
+        def checked_save() -> None:
+            save()  # called with the daemon lock held
+            on_disk = json.loads((daemon.state_dir / "jobs.json").read_text())["jobs"]
+            seen.append((on_disk, [job.to_dict() for job in daemon._jobs.values()]))
+
+        daemon._save_journal = checked_save
+        client = ServiceClient(daemon.socket_path)
+        first = client.submit("estimate", _estimate_config())
+        assert client.wait(first["job_id"])["state"] == "done"
+        hit = client.submit("estimate", _estimate_config())
+        assert hit["cached"] is True
+        for on_disk, records in seen:
+            assert on_disk == records
+        states = [[record["state"] for record in on_disk] for on_disk, _ in seen]
+        assert states == [["queued"], ["running"], ["done"], ["done", "done"]]

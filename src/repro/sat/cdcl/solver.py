@@ -203,7 +203,11 @@ class CDCLSolver:
         buffer, skipping per-clause normalisation entirely (the frozen-image
         worker protocol: process-pool workers inherit the leader's image
         through the pool initializer and rebuild from it instead of
-        re-loading a CNF).
+        re-loading a CNF).  The saving is modest: 2.26 ms against 2.63 ms
+        for ``load`` on the simplified Bivium16 formula and 11.85 ms against
+        13.69 ms on a51-tiny (medians of 50 interleaved rounds on a 2-vCPU
+        VM), and decoding ``loaded_cnf`` with ``image.to_cnf()`` is 1.41 ms
+        of the Bivium16 figure.
         Requires ``config.simplify`` off, like :meth:`ArenaImage.freeze`.
         """
         if self.config.simplify:

@@ -55,7 +55,7 @@ import socketserver
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -123,9 +123,6 @@ class ServiceConfig:
     hang_grace: float = 5.0
     #: Budget applied to jobs submitted without one (``None``: unlimited).
     default_budget: ResourceBudget | None = None
-    #: Sweep leaked ``repro-arena-*`` shm segments at startup (crash residue).
-    sweep_shared_memory: bool = True
-    options: dict[str, Any] = field(default_factory=dict)
 
 
 class ServiceError(Exception):
@@ -190,10 +187,6 @@ class ServiceDaemon:
         """Recover the journal, start the worker pool and the socket server."""
         if self.started:
             raise RuntimeError("daemon already started")
-        if self.config.sweep_shared_memory:
-            from repro.sat.cdcl.image import sweep_segments
-
-            sweep_segments()  # crash residue from a previous daemon's workers
         sweep_scratch(self.state_dir)  # half-written atomic-replace staging files
         self._load_journal()
         self._stopping = False

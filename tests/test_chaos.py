@@ -4,9 +4,9 @@ Every scenario stands up real daemons on a throwaway state dir, injects one
 class of fault — worker crash, hung job, corrupt journal, truncated
 checkpoint, dropped client connections, kill -9 + restart — and asserts the
 service *converged*: all jobs terminal, completed results bit-identical to a
-fault-free run, no leaked shared-memory segments, no stuck threads, a
-journal that loads cleanly.  ``repro-sat chaos`` runs the same scenarios
-from the command line (the CI ``chaos-smoke`` job).
+fault-free run, no stuck threads, a journal that loads cleanly.
+``repro-sat chaos`` runs the same scenarios from the command line (the CI
+``chaos-smoke`` job).
 """
 
 from __future__ import annotations
@@ -43,6 +43,21 @@ def test_chaos_cli_runs_one_scenario(tmp_path):
     ]) == 0
     # --state-dir keeps the artifacts for inspection.
     assert (tmp_path / "corrupt-journal-3" / "jobs.json.corrupt").exists()
+
+
+def test_wait_mid_progress_rejects_a_finished_job(tmp_path):
+    """A finished job has mid-family events too; a kill scenario must not
+    mistake it for one still in flight."""
+    from repro.service.chaos import _solve_config, _wait_mid_progress
+
+    daemon = ServiceDaemon(ServiceConfig(state_dir=str(tmp_path / "state"), workers=1)).start()
+    try:
+        submitted = daemon.submit("solve", _solve_config(bits=8))
+        assert daemon.wait(submitted["job_id"], timeout=60.0)["state"] == "done"
+        with pytest.raises(AssertionError, match="terminal"):
+            _wait_mid_progress(daemon, submitted["job_id"], min_completed=8)
+    finally:
+        daemon.shutdown()
 
 
 def test_policy_is_deterministic_per_seed():
@@ -84,7 +99,6 @@ class TestWatchdogForceAbandon:
             ServiceConfig(
                 state_dir=str(tmp_path / "state"),
                 workers=1,
-                sweep_shared_memory=False,
                 watchdog_interval=0.1,
                 hang_grace=0.5,
             )

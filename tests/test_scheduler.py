@@ -594,9 +594,10 @@ def _fatal_on_negative(payload):
 class TestProcessExecutorSerialization:
     """Task payloads ship as cached byte blobs: one pickle per task, ever.
 
-    The zero-copy batching path (PR 7) shrinks payloads to (segment name,
-    assumption bits) precisely so that per-task serialisation is cheap — but
-    only if the executor does not quietly re-pickle on every retry attempt.
+    The frozen-image batching path ships the formula once per worker and
+    shrinks payloads to assumption rows precisely so that per-task
+    serialisation is cheap — but only if the executor does not quietly
+    re-pickle on every retry attempt.
     These tests pin the blob-cache contract of ``ProcessExecutor``: pickle on
     first dispatch, reuse across retries, evict on success or fatal error,
     clear on close.

@@ -78,11 +78,7 @@ def daemon_factory(tmp_path):
     daemons: list[ServiceDaemon] = []
 
     def factory(state_dir="state", **config_kwargs) -> ServiceDaemon:
-        config = ServiceConfig(
-            state_dir=str(tmp_path / state_dir),
-            sweep_shared_memory=False,  # don't race the shared-image suite
-            **config_kwargs,
-        )
+        config = ServiceConfig(state_dir=str(tmp_path / state_dir), **config_kwargs)
         daemon = ServiceDaemon(config).start()
         daemons.append(daemon)
         return daemon
@@ -384,9 +380,7 @@ class TestServeCLI:
         from repro.cli import main
 
         state = tmp_path / "state"
-        daemon = ServiceDaemon(
-            ServiceConfig(state_dir=str(state), workers=1, sweep_shared_memory=False)
-        ).start()
+        daemon = ServiceDaemon(ServiceConfig(state_dir=str(state), workers=1)).start()
         try:
             config_path = tmp_path / "exp.json"
             config_path.write_text(json.dumps(_estimate_config()))
@@ -437,9 +431,7 @@ class TestCorruptStateRecovery:
         state = tmp_path / "state"
         state.mkdir()
         (state / "jobs.json").write_text('{"jobs": [{"job_id": "trunca')  # kill -9 artifact
-        daemon = ServiceDaemon(
-            ServiceConfig(state_dir=str(state), workers=1, sweep_shared_memory=False)
-        ).start()
+        daemon = ServiceDaemon(ServiceConfig(state_dir=str(state), workers=1)).start()
         try:
             assert daemon.jobs() == []
             assert (state / "jobs.json.corrupt").exists()
@@ -462,9 +454,7 @@ class TestCorruptStateRecovery:
         (state / "jobs.json").write_text(
             json.dumps({"jobs": [keep.to_dict(), {"job_id": "no-mode-field"}]})
         )
-        daemon = ServiceDaemon(
-            ServiceConfig(state_dir=str(state), workers=1, sweep_shared_memory=False)
-        ).start()
+        daemon = ServiceDaemon(ServiceConfig(state_dir=str(state), workers=1)).start()
         try:
             ids = [job["job_id"] for job in daemon.jobs()]
             assert ids == ["keepme"]
@@ -500,9 +490,7 @@ class TestCorruptStateRecovery:
         ]
         for path in residue:
             path.write_text("{half a json object")
-        daemon = ServiceDaemon(
-            ServiceConfig(state_dir=str(state), workers=1, sweep_shared_memory=False)
-        ).start()
+        daemon = ServiceDaemon(ServiceConfig(state_dir=str(state), workers=1)).start()
         try:
             assert not any(path.exists() for path in residue)
         finally:
@@ -660,7 +648,7 @@ class TestKeepAlive:
         def start(state: str) -> ServiceDaemon:
             return ServiceDaemon(
                 ServiceConfig(state_dir=str(tmp_path / state), socket_path=socket_path,
-                              workers=1, sweep_shared_memory=False)
+                              workers=1)
             ).start()
 
         first = start("a")

@@ -1,14 +1,12 @@
-"""Lifecycle tests for the zero-copy shared CNF image (PR 7).
+"""Tests for the frozen CNF image (:mod:`repro.sat.cdcl.image`).
 
 :class:`~repro.sat.cdcl.image.ArenaImage` is the worker-side half of the
-zero-copy protocol: the leader freezes the post-``_init`` clause database
-once, shares it through :mod:`multiprocessing.shared_memory`, and workers
-attach read-only.  These tests pin the POSIX-segment semantics the protocol
-relies on — attach/detach, double-close, unlink-while-attached, read-only
-enforcement — and, most importantly, that no segment survives a run, even
-when the scheduler injects worker crashes mid-flight.  Every test runs under
-a sweeping fixture finalizer, so a leak is an assertion failure here rather
-than silent ``/dev/shm`` garbage for the next suite.
+frozen-image protocol: the leader freezes the post-``_init`` clause database
+once into a flat ``int64`` buffer, process-pool workers receive it through
+the pool initializer, and each rebuilds its solver with ``load_image``.
+These tests pin that ``load_image`` is bit-identical to ``load``, that
+corrupt buffers are rejected, and that batched process-pool estimation
+equals the scalar path, interrupted or not.
 """
 
 from __future__ import annotations
@@ -17,31 +15,10 @@ import pytest
 
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.cdcl.config import CDCLConfig
-from repro.sat.cdcl.image import (
-    SEGMENT_PREFIX,
-    ArenaImage,
-    list_segments,
-    sweep_segments,
-)
+from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import random_ksat
 from repro.sat.solver import SolverStatus
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave ``/dev/shm`` exactly as it found it.
-
-    The finalizer sweeps (so one failure cannot poison the rest of the run)
-    and then *fails* the test if the sweep actually reaped anything: a leaked
-    ``repro-arena-*`` segment is a bug in the lifecycle under test, not
-    acceptable residue.
-    """
-    before = list_segments()
-    assert not before, f"pre-existing leaked segments: {before}"
-    yield
-    leaked = sweep_segments()
-    assert not leaked, f"test leaked shared-memory segments: {leaked}"
 
 
 def _cnf():
@@ -52,7 +29,6 @@ class TestImageLifecycle:
     def test_freeze_is_private_and_round_trips_the_formula(self):
         cnf = _cnf()
         image = ArenaImage.freeze(cnf)
-        assert image.name is None  # private buffer, nothing in /dev/shm
         assert image.num_vars == cnf.num_vars
         assert image.ok
         # The decoded formula is logically equivalent: same verdict and the
@@ -62,85 +38,24 @@ class TestImageLifecycle:
         assert result.status is CDCLSolver().solve(cnf).status is SolverStatus.SAT
         assert cnf.is_satisfied_by(result.model)
 
-    def test_share_attach_and_load_image_are_bit_identical_to_load(self):
+    def test_freeze_and_load_image_are_bit_identical_to_load(self):
         cnf = _cnf()
-        owner = ArenaImage.freeze(cnf).share()
-        try:
-            assert owner.name.startswith(SEGMENT_PREFIX)
-            assert owner.name in list_segments()
-            attached = ArenaImage.attach(owner.name)
-            try:
-                assert attached.arena() == owner.arena()
-                assert attached.crefs() == owner.crefs()
-                assert attached.root_units() == owner.root_units()
-                # A solver rebuilt from the attachment must match load(cnf)
-                # bit-for-bit on statuses *and* counters.
-                rows = [(1, -2), (3,), (), (-1, -3, 5)]
-                from_image = CDCLSolver().load_image(attached)
-                from_cnf = CDCLSolver().load(cnf)
-                for row in rows:
-                    a = from_image.solve(cnf, assumptions=list(row))
-                    b = from_cnf.solve(cnf, assumptions=list(row))
-                    assert a.status is b.status
-                    assert a.stats.propagations == b.stats.propagations
-                    assert a.stats.conflicts == b.stats.conflicts
-            finally:
-                attached.close()
-        finally:
-            owner.unlink()
-
-    def test_attached_buffer_is_read_only(self):
-        owner = ArenaImage.freeze(_cnf()).share()
-        try:
-            attached = ArenaImage.attach(owner.name)
-            try:
-                with pytest.raises(TypeError):
-                    attached.buffer[0] = 0
-                with pytest.raises(TypeError):
-                    owner.buffer[0] = 0
-            finally:
-                attached.close()
-        finally:
-            owner.unlink()
-
-    def test_double_close_is_idempotent_and_closed_images_refuse_reads(self):
-        owner = ArenaImage.freeze(_cnf()).share()
-        name = owner.name
-        attached = ArenaImage.attach(name)
-        attached.close()
-        attached.close()  # idempotent
-        assert attached.closed
-        with pytest.raises(ValueError, match="closed"):
-            attached.arena()
-        with pytest.raises(ValueError, match="closed"):
-            _ = attached.buffer
-        owner.unlink()
-        owner.unlink()  # unlink implies close; second call is a no-op
-        assert owner.closed
-
-    def test_unlink_while_attached_keeps_existing_mappings_readable(self):
-        cnf = _cnf()
-        owner = ArenaImage.freeze(cnf).share()
-        attached = ArenaImage.attach(owner.name)
-        name = owner.name
-        owner.unlink()
-        # POSIX: the existing mapping survives the unlink untouched...
-        assert attached.num_vars == cnf.num_vars
-        assert attached.crefs() == ArenaImage.freeze(cnf).crefs()
-        # ...but the name is gone, so new attachments fail.
-        assert name not in list_segments()
-        with pytest.raises(FileNotFoundError):
-            ArenaImage.attach(name)
-        attached.close()
-
-    def test_context_managers_unlink_owner_and_close_attachment(self):
-        with ArenaImage.freeze(_cnf()).share() as owner:
-            name = owner.name
-            with ArenaImage.attach(name) as attached:
-                assert not attached.closed
-            assert attached.closed  # plain close: segment still alive
-            assert name in list_segments()
-        assert name not in list_segments()  # owner exit unlinked it
+        # A solver rebuilt from the image must match load(cnf) bit for bit
+        # on statuses and counters, row after row on the same solver.
+        rows = [(1, -2), (3,), (), (-1, -3, 5)]
+        from_image = CDCLSolver().load_image(ArenaImage.freeze(cnf))
+        from_cnf = CDCLSolver().load(cnf)
+        sat_rows = 0
+        for row in rows:
+            a = from_image.solve(cnf, assumptions=list(row))
+            b = from_cnf.solve(cnf, assumptions=list(row))
+            assert a.status is b.status
+            assert a.stats.propagations == b.stats.propagations
+            assert a.stats.conflicts == b.stats.conflicts
+            if a.status is SolverStatus.SAT:
+                sat_rows += 1
+                assert a.model == b.model
+        assert sat_rows  # at least one model was compared
 
     def test_freeze_rejects_simplifying_configs(self):
         with pytest.raises(ValueError, match="simplify"):
@@ -170,112 +85,18 @@ class TestImageLifecycle:
         with pytest.raises(ValueError, match="too small"):
             ArenaImage(array("q", [1, 2, 3]))
 
-    def test_sweep_segments_reaps_orphans(self):
-        # Simulate a leader that died between share() and unlink().
-        orphan = ArenaImage.freeze(_cnf()).share()
-        name = orphan.name
-        orphan.close()  # mapping gone, segment deliberately left behind
-        assert name in list_segments()
-        assert name in sweep_segments()
-        assert name not in list_segments()
-
-
-class TestRegistryFallback:
-    """Enumeration without a listable ``/dev/shm`` (macOS/BSD portability).
-
-    POSIX shared memory has no portable enumeration API, so off Linux the
-    sweepers fall back to the per-user registry sidecar that ``share()``
-    maintains.  These tests force that path by pointing ``_SHM_DIR`` at a
-    nonexistent directory and the registry at a throwaway file.
-    """
-
-    @pytest.fixture()
-    def registry_only(self, tmp_path, monkeypatch):
-        from repro.sat.cdcl import image as image_module
-
-        registry = tmp_path / "registry"
-        monkeypatch.setattr(image_module, "_SHM_DIR", str(tmp_path / "no-such-dir"))
-        monkeypatch.setattr(image_module, "_registry_path", lambda: registry)
-        return registry
-
-    def test_share_registers_and_unlink_unregisters(self, registry_only):
-        owner = ArenaImage.freeze(_cnf()).share()
-        name = owner.name
-        try:
-            assert name in registry_only.read_text().split()
-            assert name in list_segments()
-        finally:
-            owner.unlink()
-        assert name not in registry_only.read_text().split()
-        assert name not in list_segments()
-
-    def test_sweep_reaps_orphans_via_registry(self, registry_only):
-        orphan = ArenaImage.freeze(_cnf()).share()
-        name = orphan.name
-        orphan.close()  # mapping gone, segment deliberately left behind
-        assert list_segments() == [name]
-        assert sweep_segments() == [name]
-        assert list_segments() == []
-        # The registry no longer mentions the reaped segment either.
-        assert name not in registry_only.read_text().split()
-
-    def test_dead_registry_entries_are_pruned_by_probing(self, registry_only):
-        # A stale entry (owner crashed after unlink, or a reboot cleared the
-        # segments) must not make list_segments() report a phantom leak.
-        registry_only.write_text(f"{SEGMENT_PREFIX}deadbeef-000000000000\n")
-        assert list_segments() == []
-        assert registry_only.read_text().split() == []
-
 
 class TestNoLeaksUnderTheScheduler:
-    """The leader's try/finally owns the segment however the run ends."""
+    """Batched estimation on real pool workers, which receive a frozen image.
 
-    def test_injected_worker_crashes_leak_nothing(self):
-        # FailureModel crashes discard completed attempts, so the scheduler
-        # re-dispatches and workers re-attach the same segment several times;
-        # the segment must still die exactly once, in the leader's finally.
-        from repro.runner.scheduler import (
-            FailureModel,
-            RetryPolicy,
-            Scheduler,
-            SimulatedGridExecutor,
-            Task,
-            TaskGraph,
-        )
-
-        cnf = _cnf()
-        owner = ArenaImage.freeze(cnf).share()
-        segment = owner.name
-
-        def attach_and_solve(payload):
-            name, row = payload
-            with ArenaImage.attach(name) as image:
-                result = CDCLSolver().load_image(image).solve(cnf, assumptions=list(row))
-            return float(result.stats.propagations) + 1.0
-
-        rows = [(v,) for v in range(1, 9)] + [(-v,) for v in range(1, 9)]
-        graph = TaskGraph(
-            Task(task_id=f"attach-{index:03d}", payload=(segment, row))
-            for index, row in enumerate(rows)
-        )
-        executor = SimulatedGridExecutor(
-            task_fn=attach_and_solve,
-            workers=4,
-            failures=FailureModel(crash_rate=0.4, seed=11),
-        )
-        try:
-            run = Scheduler(graph, executor, retry=RetryPolicy(max_attempts=8)).run()
-        finally:
-            owner.unlink()
-        assert not run.failed
-        assert len(run.results) == len(rows)
-        assert executor.injected_crashes > 0  # the fault injection really fired
-        assert segment not in list_segments()
+    These tests pin that the image-fed workers fold the scalar path's
+    statistics bit for bit, interrupted or not.  That a pool run leaves
+    nothing behind — no worker, and no resource tracker, which a
+    shared-memory segment would start — is checked by
+    ``tests/test_runner.py::test_pool_runs_leave_no_process_behind``.
+    """
 
     def test_batched_process_pool_estimation_leaks_nothing(self):
-        # End to end on real worker processes: the batched estimation path
-        # freezes + shares an image internally and must unlink it on the way
-        # out, matching the scalar path's statistics bit for bit.
         from repro.runner.estimation import estimate_family_scheduled
 
         cnf = _cnf()
@@ -283,14 +104,13 @@ class TestNoLeaksUnderTheScheduler:
             cnf, [1, 2, 3, 4], sample_size=24, seed=7,
             executor="process-pool", processes=2, batch_size=8,
         )
-        assert not list_segments()
         scalar = estimate_family_scheduled(cnf, [1, 2, 3, 4], sample_size=24, seed=7)
         assert batched.costs == scalar.costs
         assert batched.statistics.mean == scalar.statistics.mean
 
     def test_interrupted_batched_run_still_unlinks_its_segment(self):
-        # An interrupted run exits the scheduler early (pause-for-checkpoint);
-        # the leader's finally must unlink the segment on that path too.
+        # An interrupted run exits the scheduler early (pause-for-checkpoint)
+        # and still returns the samples it folded so far.
         from repro.runner.estimation import estimate_family_scheduled
 
         partial = estimate_family_scheduled(
@@ -299,4 +119,3 @@ class TestNoLeaksUnderTheScheduler:
             interrupt_after=2,
         )
         assert len(partial.costs) < 24
-        assert not list_segments()

@@ -182,7 +182,7 @@ class Experiment:
         if self._pdsat is None:
             self._pdsat = PDSAT(
                 self.instance,
-                solver=self.config.solver.build(),
+                solver=self.config.solver,
                 seed=self.config.seed,
                 estimator=self.config.effective_estimator(),
                 preprocessor=(
@@ -329,7 +329,8 @@ class Experiment:
         return decomposition
 
     def _solve_family(self, decomposition: list[int]) -> tuple[dict[str, Any], str, str]:
-        """Dispatch the family of ``decomposition`` through the configured backend."""
+        """Solve the family through :meth:`PDSAT.solve_family` on the configured backend,
+        adding the config's family-size guard, checkpoint and trace files and events."""
         cfg = self.config
         if len(decomposition) > cfg.max_family_bits:
             raise ValueError(
@@ -337,39 +338,15 @@ class Experiment:
                 f"2^{len(decomposition)} sub-problems; raise max_family_bits to allow it"
             )
         dec = DecompositionSet.of(decomposition)
-        # With preprocessing active, every decomposition variable must have
-        # survived simplification (clean error, not silent wrong answers).
-        self.pdsat.ensure_assumable(dec.variables)
-        num_vars = self.instance.cnf.num_vars
-        out_of_range = sorted(v for v in dec.variables if v > num_vars)
-        if out_of_range:
-            # Fail fast with one clean error instead of letting every
-            # sub-problem raise (and be pointlessly dispatched) in the backend.
-            raise ValueError(
-                f"decomposition variables {out_of_range} are outside the "
-                f"instance's formula (variables 1..{num_vars})"
-            )
-        vectors = [assignment.to_literals() for assignment in dec.all_assignments()]
+        total = dec.num_subproblems
+        pdsat = self.pdsat  # the encoding (and preprocessing) precede the first event
         backend = cfg.backend.build()
-        # cfg.cost_measure always matches the estimator's measure (an explicit
-        # EstimatorSpec is mirrored into the legacy field at construction).
-        cost_measure = cfg.cost_measure
-        self._emit("solve", total=len(vectors), message=f"backend {cfg.backend.name}")
-        checkpoint_kwargs: dict[str, Any] = {}
+        self._emit("solve", total=total, message=f"backend {cfg.backend.name}")
+        options: dict[str, Any] = {}
         resumed = 0
         if cfg.checkpoint_path is not None:
-            import inspect
-
             from repro.runner.scheduler import SchedulerCheckpoint
 
-            run_params = inspect.signature(backend.run).parameters
-            if "checkpoint" not in run_params and not any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in run_params.values()
-            ):
-                raise ValueError(
-                    f"backend {cfg.backend.name!r} does not accept checkpoint "
-                    f"keywords; unset checkpoint_path or use a resumable backend"
-                )
             # The fingerprint ties a checkpoint file to this exact experiment:
             # resuming another experiment's file would silently report its
             # results as ours (task ids are merely positional).
@@ -384,7 +361,7 @@ class Experiment:
                 if checkpoint is None:
                     self._emit(
                         "solve",
-                        total=len(vectors),
+                        total=total,
                         message=f"checkpoint {path} was corrupt; quarantined, starting fresh",
                     )
                 else:
@@ -395,11 +372,11 @@ class Experiment:
                             f"({stored}); delete it or point --resume elsewhere"
                         )
                     resumed = len(checkpoint)
-                    checkpoint_kwargs["checkpoint"] = checkpoint
+                    options["checkpoint"] = checkpoint
                     self._emit(
                         "solve",
                         completed=resumed,
-                        total=len(vectors),
+                        total=total,
                         message=f"resumed {resumed} sub-problems from {path}",
                     )
 
@@ -407,94 +384,62 @@ class Experiment:
                 chk.metadata["experiment"] = _stamp
                 chk.save(_path)
 
-            checkpoint_kwargs["checkpoint_sink"] = save_checkpoint
+            options["checkpoint_sink"] = save_checkpoint
             # Bound checkpoint I/O on huge families: a full snapshot is
             # rewritten at most ~256 times per run (and once at the end).
-            checkpoint_kwargs["checkpoint_every"] = max(1, len(vectors) // 256)
-        trace_writer = None
+            options["checkpoint_every"] = max(1, total // 256)
         if cfg.trace is not None:
-            import inspect
-
             from repro.trace import TraceWriter, cnf_fingerprint
 
-            run_params = inspect.signature(backend.run).parameters
-            if "trace" not in run_params and not any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in run_params.values()
-            ):
-                raise ValueError(
-                    f"backend {cfg.backend.name!r} does not accept a trace "
-                    f"keyword; unset trace or use an instrumented backend"
-                )
-            trace_writer = TraceWriter(
+            options["trace"] = TraceWriter(
                 cfg.trace,
                 kind="experiment-solve",
-                fingerprint=cnf_fingerprint(self.pdsat.cnf),
+                fingerprint=cnf_fingerprint(pdsat.cnf),
                 config={
                     "instance": cfg.instance.to_dict(),
                     "decomposition": sorted(dec.variables),
-                    "cost_measure": cost_measure,
+                    "cost_measure": cfg.cost_measure,
                     "backend": cfg.backend.name,
                 },
             )
-            checkpoint_kwargs["trace"] = trace_writer
-        subproblem_budget = cfg.effective_estimator().budget()
-        if subproblem_budget is not None:
-            import inspect
-
-            run_params = inspect.signature(backend.run).parameters
-            if "budget" not in run_params and not any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in run_params.values()
-            ):
-                # Silently dropping the cap would let the job run away —
-                # exactly what the budget exists to prevent.
-                raise ValueError(
-                    f"backend {cfg.backend.name!r} does not accept a budget "
-                    f"keyword; remove the per-sample budget or use a built-in backend"
-                )
-            checkpoint_kwargs["budget"] = subproblem_budget
         try:
-            run = backend.run(
-                # The orchestrator's working CNF: the instance encoding, or its
-                # preprocessed form when the config carries a preprocessor spec
-                # (same variable numbering, so the assumption vectors transfer).
-                self.pdsat.cnf,
-                vectors,
-                solver=cfg.solver,
-                cost_measure=cost_measure,
+            report = pdsat.solve_family(
+                dec,
                 stop_on_sat=cfg.stop_on_sat,
+                max_subproblems=1 << cfg.max_family_bits,
+                backend=backend,
                 progress=lambda completed, total: self._emit("solve", completed, total),
-                **checkpoint_kwargs,
+                **options,
             )
         finally:
             # Close also on failure, so a crashed run leaves a readable trace.
-            if trace_writer is not None:
-                trace_writer.close()
-        recovered = self._recover_state(run.satisfying_models)
-        if run.num_sat > 0:
+            if "trace" in options:
+                options["trace"].close()
+        if report.num_sat > 0:
             status = "SAT"
-        elif len(run.outcomes) == len(vectors) and all(
-            outcome.status is SolverStatus.UNSAT for outcome in run.outcomes
+        elif len(report.statuses) == total and all(
+            each is SolverStatus.UNSAT for each in report.statuses
         ):
             status = "UNSAT"
         else:
             status = "UNKNOWN"
         summary = (
-            f"[{self.instance.name}] {cfg.backend.name}: solved {len(run.outcomes)} "
-            f"sub-problems, {run.num_sat} SAT, total cost {run.total_cost:.4g} "
-            f"({cost_measure})"
+            f"[{self.instance.name}] {cfg.backend.name}: solved {len(report.costs)} "
+            f"sub-problems, {report.num_sat} SAT, total cost {report.total_cost:.4g} "
+            f"({report.cost_measure})"
         )
         data = {
             "decomposition": sorted(dec.variables),
-            "num_subproblems": len(vectors),
-            "num_processed": len(run.outcomes),
-            "statuses": [outcome.status.value for outcome in run.outcomes],
-            "costs": run.costs,
-            "total_cost": run.total_cost,
-            "num_sat": run.num_sat,
+            "num_subproblems": total,
+            "num_processed": len(report.costs),
+            "statuses": [each.value for each in report.statuses],
+            "costs": report.costs,
+            "total_cost": report.total_cost,
+            "num_sat": report.num_sat,
             "backend": cfg.backend.name,
-            "backend_metadata": run.metadata,
-            "recovered_state": recovered,
-            "wall_time": run.wall_time,
+            "backend_metadata": report.metadata,
+            "recovered_state": self._recover_state(report.satisfying_models),
+            "wall_time": report.wall_time,
             "checkpoint_path": cfg.checkpoint_path,
             "resumed_subproblems": resumed,
             "trace_path": cfg.trace,
@@ -502,11 +447,8 @@ class Experiment:
         return data, status, summary
 
     def _recover_state(self, models: list[dict[int, bool]]) -> str | None:
-        """Extract and verify a recovered register state from the SAT models."""
-        presolve = self.pdsat.presolve
+        """The first state a SAT model (over the original variables) yields that verifies."""
         for model in models:
-            if presolve is not None:
-                model = presolve.reconstruct(model)
             state = self.instance.state_from_model(model)
             if self.instance.verify_state(state):
                 return "".join(str(bit) for bit in state)

@@ -40,6 +40,11 @@ class DecompositionSet:
         """Build a decomposition set from any iterable (sorted, deduplicated)."""
         return cls(tuple(sorted(set(int(v) for v in variables))))
 
+    @classmethod
+    def coerce(cls, decomposition: "DecompositionSet | Iterable[int]") -> "DecompositionSet":
+        """``decomposition`` itself when it is a set already (order kept), else :meth:`of` it."""
+        return decomposition if isinstance(decomposition, cls) else cls.of(decomposition)
+
     @property
     def d(self) -> int:
         """Number of decomposition variables (the ``d`` of the paper)."""
@@ -103,11 +108,7 @@ class DecompositionFamily:
 
     def __init__(self, cnf: CNF, decomposition: DecompositionSet | Iterable[int]):
         self.cnf = cnf
-        self.decomposition = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        self.decomposition = DecompositionSet.coerce(decomposition)
         missing = [v for v in self.decomposition if v > cnf.num_vars]
         if missing:
             raise ValueError(f"decomposition variables {missing} exceed num_vars={cnf.num_vars}")

@@ -13,19 +13,24 @@ processes.  It has two modes:
   statistics).
 
 The :class:`PDSAT` facade reproduces both modes on top of the library's
-single-process machinery: the solver calls run sequentially (or in a real
-process pool), and cluster-scale wall-clock numbers are produced by the
-makespan simulation of :mod:`repro.runner.cluster`.
+machinery, each through one loop: the estimating mode's samples through the
+sample loop of :class:`~repro.core.predictive.PredictiveFunction`, the
+solving mode's family through an :class:`~repro.api.backends.ExecutionBackend`
+(in-process by default, or a real process pool), and cluster-scale
+wall-clock numbers are produced by the makespan simulation of
+:mod:`repro.runner.cluster`.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
-from typing import TYPE_CHECKING
-
+from repro.api.backends import SerialBackend
 from repro.api.registry import get_minimizer
+from repro.api.specs import SolverSpec
 from repro.core.annealing import AnnealingConfig
 from repro.core.decomposition import DecompositionSet
 from repro.core.genetic import GeneticConfig
@@ -36,8 +41,7 @@ from repro.core.search_space import SearchSpace
 from repro.core.tabu import TabuConfig
 from repro.problems.inversion import InversionInstance
 from repro.runner.cluster import ClusterSimulation, simulate_makespan
-from repro.sat.cdcl import CDCLSolver
-from repro.sat.solver import Solver, SolverBudget, SolverStatus
+from repro.sat.solver import SolverBudget, SolverStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.specs import EstimatorSpec
@@ -81,6 +85,9 @@ class SolvingReport:
     first_sat_index: int | None = None
     stopped_early: bool = False
     wall_time: float = 0.0
+    #: What the execution backend reported about the run (its scheduler
+    #: counters and backend-specific keys).
+    metadata: dict[str, Any] = field(default_factory=dict)
 
     @property
     def total_cost(self) -> float:
@@ -111,6 +118,20 @@ class SolvingReport:
         )
 
 
+def _check_run_keywords(backend, keywords: dict[str, Any]) -> None:
+    """Refuse a backend whose ``run`` would have to drop a keyword it is given."""
+    parameters = inspect.signature(backend.run).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+        return
+    missing = ", ".join(key for key in keywords if key not in parameters)
+    if missing:
+        name = getattr(backend, "name", type(backend).__name__)
+        raise ValueError(
+            f"backend {name!r} does not accept the keyword(s) {missing}; "
+            f"drop those options or use a built-in backend"
+        )
+
+
 class PDSAT:
     """Single-machine reproduction of the PDSAT leader/worker program.
 
@@ -119,7 +140,10 @@ class PDSAT:
     instance:
         The inversion instance (or any CNF wrapped in one) to work on.
     solver:
-        Complete deterministic solver used for every sub-problem.
+        :class:`~repro.api.specs.SolverSpec` of the complete deterministic
+        solver used for every sub-problem (default ``SolverSpec()``).  The
+        evaluator gets an instance built from it; the solving mode hands the
+        spec to the execution backend, which builds its own.
     sample_size:
         ``N``, the random-sample size per predictive-function evaluation.
     cost_measure:
@@ -152,7 +176,7 @@ class PDSAT:
     def __init__(
         self,
         instance: InversionInstance,
-        solver: Solver | None = None,
+        solver: SolverSpec | None = None,
         sample_size: int = 100,
         cost_measure: str = "propagations",
         seed: int = 0,
@@ -162,7 +186,7 @@ class PDSAT:
         frozen_variables=None,
     ):
         self.instance = instance
-        self.solver: Solver = solver if solver is not None else CDCLSolver()
+        self.solver = solver if solver is not None else SolverSpec()
         self.seed = seed
         self.preprocessor = preprocessor
         self.presolve = None
@@ -180,7 +204,7 @@ class PDSAT:
             self.cost_measure = estimator.cost_measure
             self.subproblem_budget = estimator.budget()
             self.evaluator = estimator.build(
-                self.cnf, solver=self.solver, seed=seed, frozen_variables=frozen_variables
+                self.cnf, solver=self.solver.build(), seed=seed, frozen_variables=frozen_variables
             )
         else:
             self.sample_size = sample_size
@@ -188,7 +212,7 @@ class PDSAT:
             self.subproblem_budget = subproblem_budget
             self.evaluator = PredictiveFunction(
                 cnf=self.cnf,
-                solver=self.solver,
+                solver=self.solver.build(),
                 sample_size=sample_size,
                 cost_measure=cost_measure,
                 seed=seed,
@@ -287,6 +311,7 @@ class PDSAT:
         stop_on_sat: bool = False,
         max_subproblems: int = 1 << 20,
         backend=None,
+        **run_options,
     ) -> SolvingReport:
         """Process the whole decomposition family (the paper's solving mode).
 
@@ -294,66 +319,61 @@ class PDSAT:
         sub-problem; the paper's experiments processed the entire family to
         obtain more statistical data, which is also the default here.
 
-        ``backend`` routes the family through any
-        :class:`~repro.api.backends.ExecutionBackend` (and therefore through
-        the fault-tolerant scheduler) instead of the in-process loop; the
-        deterministic solvers make both paths report identical statuses and
-        costs.
+        The family runs through ``backend``, an
+        :class:`~repro.api.backends.ExecutionBackend` (the serial one by
+        default), with this orchestrator's solver spec, cost measure and
+        budget, and with ``run_options``: the protocol's ``progress``,
+        ``checkpoint``, ``checkpoint_sink``, ``checkpoint_every`` and
+        ``trace``.  A backend whose ``run`` lacks a keyword this call passes
+        is refused with a :class:`ValueError`.  Models are reported over the
+        original variables, and ``metadata`` is the backend's.
         """
-        dec = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        dec = DecompositionSet.coerce(decomposition)
         self.ensure_assumable(dec.variables)
+        num_vars = self.instance.cnf.num_vars
+        out_of_range = sorted(v for v in dec.variables if v > num_vars)
+        if out_of_range:
+            # Fail fast with one clean error instead of letting every
+            # sub-problem raise (and be pointlessly dispatched) in the backend.
+            raise ValueError(
+                f"decomposition variables {out_of_range} are outside the "
+                f"instance's formula (variables 1..{num_vars})"
+            )
         if dec.num_subproblems > max_subproblems:
             raise ValueError(
                 f"decomposition family has 2^{dec.d} sub-problems, "
                 f"raise max_subproblems to allow this"
             )
-        report = SolvingReport(
+        backend = backend if backend is not None else SerialBackend()
+        keywords = dict(
+            solver=self.solver, cost_measure=self.cost_measure, stop_on_sat=stop_on_sat,
+            **run_options,
+        )
+        if self.subproblem_budget is not None:
+            keywords["budget"] = self.subproblem_budget
+        _check_run_keywords(backend, keywords)
+        started = time.perf_counter()
+        run = backend.run(
+            self.cnf,
+            [assignment.to_literals() for assignment in dec.all_assignments()],
+            **keywords,
+        )
+        first_sat = next(
+            (index for index, status in enumerate(run.statuses) if status is SolverStatus.SAT),
+            None,
+        )
+        return SolvingReport(
             instance_name=self.instance.name,
             decomposition=sorted(dec.variables),
+            statuses=run.statuses,
+            costs=run.costs,
             cost_measure=self.cost_measure,
+            satisfying_models=[self._reconstructed(model) for model in run.satisfying_models],
+            first_sat_index=first_sat,
+            stopped_early=stop_on_sat and first_sat is not None,
+            wall_time=time.perf_counter() - started,
+            metadata=run.metadata,
         )
-        start = time.perf_counter()
-        if backend is not None:
-            run = backend.run(
-                self.cnf,
-                [assignment.to_literals() for assignment in dec.all_assignments()],
-                cost_measure=self.cost_measure,
-                budget=self.subproblem_budget,
-                stop_on_sat=stop_on_sat,
-            )
-            for index, outcome in enumerate(run.outcomes):
-                report.statuses.append(outcome.status)
-                report.costs.append(outcome.cost)
-                if outcome.status is SolverStatus.SAT:
-                    if report.first_sat_index is None:
-                        report.first_sat_index = index
-                    if outcome.model is not None:
-                        report.satisfying_models.append(self._reconstructed(outcome.model))
-            report.stopped_early = stop_on_sat and report.first_sat_index is not None
-            report.wall_time = time.perf_counter() - start
-            return report
-        for index, assignment in enumerate(dec.all_assignments()):
-            result = self.solver.solve(
-                self.cnf,
-                assumptions=assignment.to_literals(),
-                budget=self.subproblem_budget,
-            )
-            report.statuses.append(result.status)
-            report.costs.append(result.stats.cost(self.cost_measure))
-            if result.is_sat:
-                if report.first_sat_index is None:
-                    report.first_sat_index = index
-                if result.model is not None:
-                    report.satisfying_models.append(self._reconstructed(result.model))
-                if stop_on_sat:
-                    report.stopped_early = True
-                    break
-        report.wall_time = time.perf_counter() - start
-        return report
 
     # ---------------------------------------------------- scheduled estimation
     def estimate_samples_scheduled(
@@ -376,11 +396,7 @@ class PDSAT:
         """
         from repro.runner.estimation import estimate_family_scheduled
 
-        dec = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        dec = DecompositionSet.coerce(decomposition)
         self.ensure_assumable(dec.variables)
         return estimate_family_scheduled(
             self.cnf,

@@ -25,8 +25,21 @@ Batched estimation engine
 -------------------------
 
 This module is the hot path of the whole reproduction: a single estimating-mode
-run performs ``max_evaluations × N`` sub-instance solves.  Three mechanisms
-keep that loop from re-doing work, all on by default:
+run performs ``max_evaluations × N`` sub-instance solves.  They all go through
+one sample loop, which :meth:`PredictiveFunction.evaluate` and
+:meth:`PredictiveFunction.exhaustive_value` share: it walks the sample in
+order, replays cache hits (below), and takes every other row's result from
+one of four row engines:
+
+* *fresh* (the default): ``solve(cnf, assumptions=row)``, the paper's ξ;
+* *incremental*: ``solve(assumptions=row)`` on the loaded solver (below);
+* *batched* (``batch_size > 1``): the sample's cache misses are solved ahead
+  of the walk through ``solve_batch``, ``batch_size`` rows per call, which is
+  bit-identical to fresh scalar solves, so every status, cost, ``cached``
+  flag and counter equals the fresh engine's;
+* *units* (``substitution_mode="units"``): a fresh solve of ``C ∧ units``.
+
+Three mechanisms keep that loop from re-doing work, all on by default:
 
 **Incremental solving** (``incremental=True``; off by default here, on by
 default in the :class:`repro.api.EstimatorSpec` layer).  Requires
@@ -77,14 +90,14 @@ import random
 import time
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.api.registry import get_cost_measure
 from repro.core.decomposition import DecompositionFamily, DecompositionSet
 from repro.sat.assignment import Assignment
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.formula import CNF
-from repro.sat.solver import Solver, SolverBudget, SolverStatus
+from repro.sat.solver import SolveResult, Solver, SolverBudget, SolverStatus
 from repro.stats.montecarlo import MonteCarloEstimate, OnlineStatistics
 
 
@@ -331,11 +344,7 @@ class PredictiveFunction:
     # ------------------------------------------------------------------ evaluate
     def evaluate(self, decomposition: DecompositionSet | Iterable[int]) -> PredictionResult:
         """Evaluate ``F`` at a decomposition set (memoised)."""
-        dec = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        dec = DecompositionSet.coerce(decomposition)
         if dec.d == 0:
             raise ValueError("cannot evaluate the empty decomposition set")
         key = dec.as_frozenset()
@@ -362,11 +371,7 @@ class PredictiveFunction:
         observations: list[SampleObservation] = []
         activity: dict[int, float] = {}
         running = OnlineStatistics()
-        if self.batch_size > 1:
-            solved = self._solve_subproblems_batched(sample, dec)
-        else:
-            solved = (self._solve_subproblem(a, dec) for a in sample)
-        for observation, sub_activity in solved:
+        for observation, sub_activity in self._solve_sample(sample, dec):
             observations.append(observation)
             running.add(observation.cost)
             for var, act in sub_activity.items():
@@ -392,11 +397,7 @@ class PredictiveFunction:
 
     def is_cached(self, decomposition: DecompositionSet | Iterable[int]) -> bool:
         """True when the point has already been evaluated."""
-        dec = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        dec = DecompositionSet.coerce(decomposition)
         return dec.as_frozenset() in self._cache
 
     @property
@@ -416,157 +417,93 @@ class PredictiveFunction:
         else:
             self.solver.load(self.cnf)
 
-    def _solve_subproblem(
-        self, assignment: Assignment, dec: DecompositionSet
-    ) -> tuple[SampleObservation, dict[int, float]]:
-        literals = assignment.to_literals()
-        cache_key = tuple(literals)
-        self.num_subproblem_solves += 1
-        if self.sample_cache_size:
-            hit = self._sample_cache.get(cache_key)
+    def _solve_sample(
+        self, sample: list[Assignment], dec: DecompositionSet
+    ) -> list[tuple[SampleObservation, dict[int, float]]]:
+        """The one sample loop: each row's observation and activity, in order.
+
+        A cached row replays its observation (``cached=True``) and moves to
+        the LRU's end; every other row is solved, counted and cached.  The
+        scalar engines solve a row at its turn, so an entry evicted
+        mid-sample is re-solved exactly when it is reached.
+        """
+        keys = [tuple(assignment.to_literals()) for assignment in sample]
+        ahead = self._solve_ahead(keys) if self.batch_size > 1 else {}
+        solved: list[tuple[SampleObservation, dict[int, float]]] = []
+        for index, (assignment, key) in enumerate(zip(sample, keys)):
+            self.num_subproblem_solves += 1
+            hit = self._sample_cache.get(key) if self.sample_cache_size else None
             if hit is not None:
-                self._sample_cache.move_to_end(cache_key)
+                self._sample_cache.move_to_end(key)
                 self.sample_cache_hits += 1
                 observation, sub_activity = hit
-                replay = SampleObservation(
-                    assignment_bits=observation.assignment_bits,
-                    cost=observation.cost,
-                    status=observation.status,
-                    wall_time=observation.wall_time,
-                    cached=True,
-                )
-                return replay, sub_activity
-
-        self.num_solver_calls += 1
-        if self.substitution_mode == "assumptions":
-            if self.incremental:
-                if self.solver.loaded_cnf is not self.cnf:
-                    self._load_solver()
-                result = self.solver.solve(
-                    assumptions=literals, budget=self.subproblem_budget
-                )
-            else:
-                result = self.solver.solve(
-                    self.cnf, assumptions=literals, budget=self.subproblem_budget
-                )
-        else:
-            family = DecompositionFamily(self.cnf, dec)
-            sub = family.subproblem(assignment, as_units=True)
-            result = self.solver.solve(sub, budget=self.subproblem_budget)
-        observation = SampleObservation(
-            assignment_bits=assignment.bits_for(list(dec.variables)),
-            cost=result.stats.cost(self.cost_measure),
-            status=result.status,
-            wall_time=result.stats.wall_time,
-        )
-        # Keep only nonzero bumps: the consumers (activity accumulation, the
-        # tabu restart heuristic) iterate items, and a dense per-variable dict
-        # retained per cache entry would dominate the cache's memory.
-        sub_activity = {
-            var: act for var, act in result.conflict_activity.items() if act > 0.0
-        }
-        if self.sample_cache_size:
-            self._sample_cache[cache_key] = (observation, sub_activity)
-            if len(self._sample_cache) > self.sample_cache_size:
-                self._sample_cache.popitem(last=False)
-        return observation, sub_activity
-
-    def _solve_subproblems_batched(
-        self, sample: Iterable[Assignment], dec: DecompositionSet
-    ) -> list[tuple[SampleObservation, dict[int, float]]]:
-        """The batched twin of per-sample :meth:`_solve_subproblem` calls.
-
-        Three passes keep every observable identical to the scalar loop:
-
-        1. walk the sample in order, splitting it into cache hits, in-batch
-           duplicates and fresh rows (with the cache off, *every* sample is a
-           fresh row — the scalar loop re-solves duplicates then too);
-        2. solve the fresh rows through ``solve_batch`` in chunks of
-           ``batch_size`` (bit-identical to fresh scalar solves by the batch
-           engine's contract);
-        3. replay the sample in order, performing exactly the cache
-           insertions/promotions the scalar loop would, so LRU order, hit
-           counters and ``cached`` flags match it.
-
-        The one observable difference is deliberate and tiny: membership is
-        decided against the cache state at batch start, so a cache smaller
-        than one evaluation's distinct rows can replay an entry the scalar
-        loop would have evicted mid-evaluation — same costs either way (fresh
-        solves are deterministic), only the ``cached`` flag and the hit/solve
-        counters can shift in that corner.
-        """
-        plan: list[tuple[str, tuple[int, ...], Assignment]] = []
-        pending: set[tuple[int, ...]] = set()
-        rows: list[tuple[int, ...]] = []
-        for assignment in sample:
-            literals = tuple(assignment.to_literals())
-            self.num_subproblem_solves += 1
-            if self.sample_cache_size and (
-                literals in self._sample_cache or literals in pending
-            ):
-                plan.append(("replay", literals, assignment))
+                solved.append((replace(observation, cached=True), sub_activity))
                 continue
-            if self.sample_cache_size:
-                pending.add(literals)
-            rows.append(literals)
-            plan.append(("solve", literals, assignment))
-
-        self.num_solver_calls += len(rows)
-        if self.solver.loaded_cnf is not self.cnf:
-            self.solver.load(self.cnf)
-        results = []
-        for begin in range(0, len(rows), self.batch_size):
-            results.extend(
-                self.solver.solve_batch(
-                    rows[begin : begin + self.batch_size],
-                    budget=self.subproblem_budget,
-                )
-            )
-
-        solved: list[tuple[SampleObservation, dict[int, float]]] = []
-        next_result = 0
-        for kind, literals, assignment in plan:
-            if kind == "replay":
-                hit = self._sample_cache.get(literals)
-                if hit is not None:
-                    self._sample_cache.move_to_end(literals)
-                    self.sample_cache_hits += 1
-                    observation, sub_activity = hit
-                    solved.append(
-                        (
-                            SampleObservation(
-                                assignment_bits=observation.assignment_bits,
-                                cost=observation.cost,
-                                status=observation.status,
-                                wall_time=observation.wall_time,
-                                cached=True,
-                            ),
-                            sub_activity,
-                        )
-                    )
-                    continue
-                # Evicted between batch start and now (cache smaller than the
-                # evaluation): solve it fresh like the scalar loop would have.
-                self.num_solver_calls += 1
-                result = self.solver.solve_batch([literals], budget=self.subproblem_budget)[0]
-            else:
-                result = results[next_result]
-                next_result += 1
+            self.num_solver_calls += 1
+            result = ahead.pop(index) if index in ahead else self._solve_row(key, assignment, dec)
             observation = SampleObservation(
                 assignment_bits=assignment.bits_for(list(dec.variables)),
                 cost=result.stats.cost(self.cost_measure),
                 status=result.status,
                 wall_time=result.stats.wall_time,
             )
+            # Keep only nonzero bumps: a dense per-variable dict retained per
+            # cache entry would dominate the cache's memory.
             sub_activity = {
                 var: act for var, act in result.conflict_activity.items() if act > 0.0
             }
             if self.sample_cache_size:
-                self._sample_cache[literals] = (observation, sub_activity)
+                self._sample_cache[key] = (observation, sub_activity)
                 if len(self._sample_cache) > self.sample_cache_size:
                     self._sample_cache.popitem(last=False)
             solved.append((observation, sub_activity))
         return solved
+
+    def _solve_ahead(self, keys: list[tuple[int, ...]]) -> dict[int, SolveResult]:
+        """The batched engine: solve the sample's cache misses up front.
+
+        Results by sample position, from ``solve_batch`` calls of
+        ``batch_size`` rows.  A row cached before the sample or repeated in
+        it is left to the loop; no other row can be cached when the loop
+        reaches it, so hits and counters match the scalar loop's.  With the
+        cache off every row is solved, repeats included.
+        """
+        planned: list[int] = []
+        seen: set[tuple[int, ...]] = set()
+        for index, key in enumerate(keys):
+            if self.sample_cache_size:
+                if key in self._sample_cache or key in seen:
+                    continue
+                seen.add(key)
+            planned.append(index)
+        if self.solver.loaded_cnf is not self.cnf:
+            self.solver.load(self.cnf)
+        results: list[SolveResult] = []
+        for begin in range(0, len(planned), self.batch_size):
+            results.extend(
+                self.solver.solve_batch(
+                    [keys[index] for index in planned[begin : begin + self.batch_size]],
+                    budget=self.subproblem_budget,
+                )
+            )
+        return dict(zip(planned, results))
+
+    def _solve_row(
+        self, literals: tuple[int, ...], assignment: Assignment, dec: DecompositionSet
+    ) -> SolveResult:
+        """Solve one sampled sub-instance with the evaluator's row engine."""
+        budget = self.subproblem_budget
+        if self.batch_size > 1:
+            # A planned replay whose cache entry was evicted mid-sample.
+            return self.solver.solve_batch([literals], budget=budget)[0]
+        if self.substitution_mode == "units":
+            sub = DecompositionFamily(self.cnf, dec).subproblem(assignment, as_units=True)
+            return self.solver.solve(sub, budget=budget)
+        if self.incremental:
+            if self.solver.loaded_cnf is not self.cnf:
+                self._load_solver()
+            return self.solver.solve(assumptions=literals, budget=budget)
+        return self.solver.solve(self.cnf, assumptions=literals, budget=budget)
 
     # ----------------------------------------------------------------- exhaustive
     def exhaustive_value(
@@ -578,17 +515,13 @@ class PredictiveFunction:
         benchmark and by the solving mode's ground truth in tests.  Returns the
         total cost and the per-sub-instance cost list.
         """
-        dec = (
-            decomposition
-            if isinstance(decomposition, DecompositionSet)
-            else DecompositionSet.of(decomposition)
-        )
+        dec = DecompositionSet.coerce(decomposition)
         if dec.num_subproblems > max_subproblems:
             raise ValueError(
                 f"2^{dec.d} sub-problems exceed the max_subproblems={max_subproblems} safety limit"
             )
-        costs: list[float] = []
-        for assignment in dec.all_assignments():
-            observation, _ = self._solve_subproblem(assignment, dec)
-            costs.append(observation.cost)
+        costs = [
+            observation.cost
+            for observation, _ in self._solve_sample(list(dec.all_assignments()), dec)
+        ]
         return sum(costs), costs

@@ -20,6 +20,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.api.backends import SerialBackend
 from repro.api.registry import register_portfolio
 from repro.core.decomposition import DecompositionSet
 from repro.runner.cluster import simulate_makespan
@@ -274,17 +275,14 @@ def compare_with_partitioning(
     portfolio = PortfolioSolver(members[:num_cores] or members, cost_measure=cost_measure)
     portfolio_result = portfolio.solve(cnf, budget=budget)
 
-    dec = (
-        decomposition
-        if isinstance(decomposition, DecompositionSet)
-        else DecompositionSet.of(decomposition)
+    dec = DecompositionSet.coerce(decomposition)
+    family = SerialBackend().run(
+        cnf,
+        [assignment.to_literals() for assignment in dec.all_assignments()],
+        cost_measure=cost_measure,
+        budget=budget,
     )
-    solver = CDCLSolver()
-    costs = []
-    for assignment in dec.all_assignments():
-        result = solver.solve(cnf, assumptions=assignment.to_literals(), budget=budget)
-        costs.append(result.stats.cost(cost_measure))
-    cluster = simulate_makespan(costs, num_cores)
+    cluster = simulate_makespan(family.costs, num_cores)
 
     return PortfolioComparison(
         num_cores=num_cores,

@@ -6,7 +6,7 @@ the thin policies that reproduce both substrates (plus a real local pool):
 
 * :mod:`repro.runner.scheduler` — the fault-tolerant core: task graphs,
   pluggable executors (inline / thread / process / simulated virtual-clock
-  grid with latency and failure models), work-stealing queues, retry/timeout
+  grid with latency and failure models), a shared pull queue, retry/timeout
   budgets, replication with quorum, checkpoint/resume, and deterministic
   serial replay of any parallel run.
 * :mod:`repro.runner.estimation` — Monte Carlo estimation on the scheduler:

@@ -81,9 +81,7 @@ def simulate_makespan(
         Task(task_id=f"job-{index:06d}", payload=cost) for index, cost in enumerate(jobs)
     )
     executor = SimulatedGridExecutor(task_fn=lambda cost: cost, workers=num_cores)
-    run = Scheduler(
-        graph, executor, retry=RetryPolicy(max_attempts=1), queue="fifo"
-    ).run()
+    run = Scheduler(graph, executor, retry=RetryPolicy(max_attempts=1)).run()
 
     # With no failure injection the virtual clock stops at the last completion,
     # which is exactly the makespan; worker loads are the per-core cost sums.

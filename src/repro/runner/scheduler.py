@@ -22,8 +22,8 @@ Architecture
   with configurable worker speeds, dispatch latency and a seeded
   :class:`FailureModel` injecting worker crashes, stragglers and duplicated
   results.
-* :class:`Scheduler` — the leader loop: per-worker queues with optional
-  work-stealing, per-task retry/timeout budgets (:class:`RetryPolicy`),
+* :class:`Scheduler` — the leader loop: one shared pull queue (PDSAT's
+  dynamic work queue), per-task retry/timeout budgets (:class:`RetryPolicy`),
   replication/quorum (the BOINC substrate), checkpoint/resume
   (:class:`SchedulerCheckpoint`) and early stop.
 
@@ -727,7 +727,7 @@ class SchedulerCheckpoint:
         """Write the checkpoint as a JSON document (atomically via a temp file)."""
         target = Path(path)
         scratch = target.with_suffix(target.suffix + ".tmp")
-        scratch.write_text(json.dumps(self.to_dict(), indent=2))
+        scratch.write_text(json.dumps(self.to_dict(), separators=(",", ":")))
         scratch.replace(target)
 
     @classmethod
@@ -849,12 +849,10 @@ class Scheduler:
         Where attempts run.  Defaults are wired by the policy layers; the
         scheduler itself only needs the :class:`Executor` protocol.
     retry:
-        The per-task retry/timeout budget (:class:`RetryPolicy`).
-    queue:
-        ``"fifo"`` — one global pull queue, which with a simulated executor
-        reproduces PDSAT's dynamic work queue (greedy list scheduling) exactly;
-        ``"work-stealing"`` — per-worker deques with round-robin placement,
-        idle workers stealing from the back of the longest queue.
+        The per-task retry/timeout budget (:class:`RetryPolicy`).  Ready
+        tasks wait in one first-in-first-out queue that idle workers pull
+        from in index order, which with a simulated executor reproduces
+        PDSAT's dynamic work queue (greedy list scheduling) exactly.
     replication / quorum:
         Dispatch every task ``replication`` times and accept it once
         ``quorum`` successful results arrived (BOINC validation).  Surplus
@@ -879,7 +877,6 @@ class Scheduler:
         graph: TaskGraph | Iterable[Task],
         executor: Executor,
         retry: RetryPolicy | None = None,
-        queue: str = "fifo",
         replication: int = 1,
         quorum: int = 1,
         checkpoint: SchedulerCheckpoint | None = None,
@@ -895,9 +892,6 @@ class Scheduler:
         self.graph = graph if isinstance(graph, TaskGraph) else TaskGraph(graph)
         self.executor = executor
         self.retry = retry or RetryPolicy()
-        if queue not in ("fifo", "work-stealing"):
-            raise ValueError("queue must be 'fifo' or 'work-stealing'")
-        self.queue_mode = queue
         if replication < 1:
             raise ValueError("replication must be at least 1")
         if quorum < 1:
@@ -963,35 +957,21 @@ class Scheduler:
         busy: dict[int, str] = {}
         stats = {
             "dispatches": 0, "crashes": 0, "timeouts": 0, "errors": 0,
-            "retries": 0, "duplicates_discarded": 0, "steals": 0,
-            "from_checkpoint": 0,
+            "retries": 0, "duplicates_discarded": 0, "from_checkpoint": 0,
         }
         stop_requested = False
         fresh_results = 0
 
-        # Per-worker queues (work-stealing) or one shared queue (fifo).
-        num_queues = executor.num_workers if self.queue_mode == "work-stealing" else 1
-        queues: list[deque[str]] = [deque() for _ in range(num_queues)]
-        next_queue = 0
+        queue: deque[str] = deque()
 
         def enqueue(task_id: str) -> None:
-            nonlocal next_queue
-            queues[next_queue % num_queues].append(task_id)
-            next_queue += 1
+            queue.append(task_id)
             queued[task_id] += 1
 
-        def pop_for(worker: int) -> str | None:
-            own = queues[worker % num_queues]
-            if own:
-                task_id = own.popleft()
-            else:
-                donor = max(
-                    (q for q in queues if q), key=len, default=None
-                )
-                if donor is None:
-                    return None
-                task_id = donor.pop()  # steal from the back
-                stats["steals"] += 1
+        def pop() -> str | None:
+            if not queue:
+                return None
+            task_id = queue.popleft()
             queued[task_id] -= 1
             return task_id
 
@@ -1069,7 +1049,7 @@ class Scheduler:
                         if worker in busy:
                             continue
                         while True:
-                            task_id = pop_for(worker)
+                            task_id = pop()
                             if task_id is None:
                                 break
                             # Skip stale queue entries: replicated copies of a

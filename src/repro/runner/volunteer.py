@@ -184,7 +184,6 @@ def simulate_volunteer_grid(
         # The BOINC server re-issues forever; the deadline is the per-attempt
         # budget after which a lost result is noticed.
         retry=RetryPolicy(max_attempts=None, timeout=deadline),
-        queue="fifo",
         replication=config.redundancy,
         quorum=config.quorum,
     ).run()

@@ -73,8 +73,6 @@ class TestValidation:
         graph = TaskGraph(_jobs([1.0]))
         executor = _identity_executor(workers=1)
         with pytest.raises(ValueError):
-            Scheduler(graph, executor, queue="lifo")
-        with pytest.raises(ValueError):
             Scheduler(graph, executor, replication=0)
         with pytest.raises(ValueError):
             Scheduler(graph, executor, quorum=0)
@@ -150,22 +148,6 @@ class TestVirtualCluster:
             _identity_executor(workers=2, dispatch_latency=0.5),
         ).run()
         assert slow.makespan == plain.makespan + 2 * 0.5
-
-    def test_work_stealing_drains_imbalanced_queues(self):
-        # Round-robin placement gives worker 0 all the long jobs; stealing
-        # lets worker 1 take them from the back once its own queue drains.
-        durations = [8.0, 1.0] * 8
-        graph = TaskGraph(_jobs(durations))
-        run = Scheduler(
-            graph,
-            _identity_executor(workers=2),
-            queue="work-stealing",
-            retry=RetryPolicy(max_attempts=1),
-        ).run()
-        assert run.completed
-        assert run.metadata["steals"] > 0
-        assert run.values_in_order() == durations
-        run.assert_invariants()
 
 
 class TestFailureInjection:

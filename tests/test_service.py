@@ -35,6 +35,7 @@ from repro.service import (
     content_key,
 )
 from repro.service.chaos import ChaosPolicy
+from repro.service.client import TERMINAL_STATES
 
 
 def _estimate_config(seed: int = 1, evaluations: int = 3) -> dict:
@@ -274,10 +275,16 @@ class TestConcurrentClients:
 def _wait_for_progress(
     client: ServiceClient, job_id: str, timeout: float = 60.0, min_completed: int = 1
 ) -> None:
-    """Block until the job completed ``min_completed`` sub-problems (not all)."""
+    """Block until the job completed ``min_completed`` sub-problems (not all).
+
+    The state is checked before the events: a finished job's events also
+    hold mid-family progress, but it can no longer be interrupted.
+    """
     deadline = time.time() + timeout
     while time.time() < deadline:
         job = client.status(job_id)
+        if job["state"] in TERMINAL_STATES:
+            raise AssertionError(f"job finished ({job['state']}) before it could be interrupted")
         events = job.get("events", [])
         solve_events = [
             e
@@ -288,8 +295,6 @@ def _wait_for_progress(
         ]
         if solve_events:
             return
-        if job["state"] in ("done", "failed", "cancelled"):
-            raise AssertionError(f"job finished ({job['state']}) before it could be interrupted")
         time.sleep(0.005)
     raise AssertionError("job never reported mid-family progress")
 
@@ -568,9 +573,10 @@ class TestResourceBudgets:
 class TestBackpressure:
     def test_full_queue_rejects_with_retriable_backpressure(self, daemon_factory):
         daemon = daemon_factory(workers=1, max_queue_depth=1)
+        _hold_at_event(daemon, 3)  # the blocker occupies the worker until cancelled
         client = ServiceClient(daemon.socket_path)
         blocker = client.submit("solve", _solve_config(decomposition_bits=10))
-        _wait_for_progress(client, blocker["job_id"])  # occupies the worker
+        _wait_for_progress(client, blocker["job_id"])
         queued = client.submit("estimate", _estimate_config(seed=21))
         with pytest.raises(ServiceError) as excinfo:
             client.submit("estimate", _estimate_config(seed=22))
@@ -578,8 +584,9 @@ class TestBackpressure:
         assert excinfo.value.retriable is True
         # Queued work was not lost.
         assert client.status(queued["job_id"])["state"] == "queued"
-        for job_id in (blocker["job_id"], queued["job_id"]):
-            assert client.wait(job_id, timeout=120.0)["state"] == "done"
+        client.cancel(blocker["job_id"])
+        assert client.wait(blocker["job_id"], timeout=120.0)["state"] == "cancelled"
+        assert client.wait(queued["job_id"], timeout=120.0)["state"] == "done"
 
     def test_client_submit_retries_through_backpressure(self, daemon_factory):
         daemon = daemon_factory(workers=1, max_queue_depth=1)

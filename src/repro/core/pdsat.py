@@ -405,6 +405,8 @@ class PDSAT:
             seed=self.seed,
             executor=executor,
             cost_measure=self.cost_measure,
+            solver=self.solver.name,
+            solver_options=self.solver.options,
             budget=self.subproblem_budget,
             **scheduler_options,
         )

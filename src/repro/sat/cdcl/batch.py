@@ -9,9 +9,12 @@ than the scalar loop without changing a single reported bit:
 1. **The root prefix is shared.**  ``load``/``_init`` plus root-level unit
    propagation are a pure function of the formula; the scalar loop repeated
    them per sample (~83 % of conflict-free sample time on the bivium family).
-   Here they run once, and divergent samples re-start from a deep-copied
-   pristine snapshot (:meth:`CDCLSolver._restore_root_state`, ~25x cheaper
-   than ``_init`` and byte-identical by construction).
+   Here they run once, and each divergent sample re-starts from the pristine
+   root snapshot (:meth:`CDCLSolver._restore_root_state`, byte-identical
+   by construction).  A restore copies the flat fields and the heap, but
+   only the watch lists a solve can have edited: the long lists of the long
+   problem clauses' literals, and the lists of the literals of clauses
+   attached since the last restore.
 2. **Root propagation vectorises across samples.**  Mirroring the bit-sliced
    keystream engine (``lfsr.pack_state_columns``/``run_batch``), the batch
    keeps one Python big-int *mask* per literal — bit ``b`` of ``tmask[lit]``

@@ -121,10 +121,15 @@ class CDCLSolver:
         #: :meth:`load_image` (``None`` after a plain ``load``); re-loads for
         #: the batched fresh-solve snapshot go through it when present.
         self._image = None
-        #: Deep copy of the pristine post-load state (lazily captured by
-        #: :meth:`solve_batch`); restoring it is ~25x cheaper than re-running
-        #: ``_init`` and reproduces its output byte for byte.
+        #: Copy of the pristine post-load state (lazily captured by
+        #: :meth:`solve_batch`); :meth:`_restore_root_state` brings it back
+        #: byte for byte, copying only the watch lists that can have changed.
         self._root_snapshot = None
+        #: Literals of the clauses attached since the root snapshot was taken
+        #: (their long lists and the ternary lists of their negations may
+        #: differ from the snapshot's); ``None`` means every literal, which
+        #: holds while no snapshot is live and after the lists are rebuilt.
+        self._dirty_lits: set[int] | None = None
         #: True while the internal state is exactly the post-load state (no
         #: solve has mutated it since); guards snapshot capture.
         self._pristine = False
@@ -235,6 +240,7 @@ class CDCLSolver:
             self._heap.push(v)
         self._watches = [[] for _ in range((n + 1) << 1)]
         self._tern_watches = [[] for _ in range((n + 1) << 1)]
+        self._dirty_lits = None
         self._values[0] = _FALSE
         self._has_long = False
         self._arena = image.arena()
@@ -653,8 +659,16 @@ class CDCLSolver:
     )
 
     def _capture_root_state(self) -> dict:
-        """Deep-copy the pristine post-load state (~25x cheaper to restore
-        than re-running ``_init``, and byte-identical by construction)."""
+        """Copy the pristine post-load state and start logging dirty literals.
+
+        Besides the flat fields, the heap and every watch list, the snapshot
+        records the literals of the long (>= 4) problem clauses: their long
+        watch lists are the only ones propagation edits.  Every other list
+        changes only when a clause is attached or detached, and from here on
+        :meth:`_attach` logs the literals of each clause it attaches (a
+        pristine state holds no learnt clause, so nothing attached before
+        the capture is ever detached).
+        """
         snap = {}
         for field in self._SNAPSHOT_FIELDS:
             value = getattr(self, field)
@@ -667,10 +681,35 @@ class CDCLSolver:
         snap["_tern_watches"] = [wl[:] for wl in self._tern_watches]
         snap["_heap"] = self._heap._heap[:]
         snap["_heap_indices"] = dict(self._heap._indices)
+        arena = self._arena
+        long_lits: set[int] = set()
+        for cref in self._clauses:
+            size = arena[cref]
+            if size >= 4:
+                long_lits.update(arena[cref + 1 : cref + 1 + size])
+        snap["_long_lits"] = sorted(long_lits)
+        self._dirty_lits = set()
         return snap
 
     def _restore_root_state(self, snap: dict) -> None:
-        """Overwrite the internal state with fresh copies of ``snap``."""
+        """Overwrite the internal state with fresh copies of ``snap``.
+
+        Watch lists are copied back only where they can differ from the
+        snapshot:
+
+        * the long lists of the long problem clauses' literals, whose
+          watches propagation moves;
+        * both lists of every literal :meth:`_attach` logged since the
+          capture or the last restore (attaching a clause appends to its
+          literals' long lists or to their negations' ternary lists, and
+          detaching it removes the entries again).
+
+        Every other list is skipped: propagation never edits a ternary list,
+        and the long list of a literal in no long clause stays empty.  When
+        the lists were rebuilt since (``_garbage_collect``, or ``_init``
+        through ``load``/``load_image``/``inprocess``), every literal counts
+        as dirty and every list is copied.
+        """
         for field in self._SNAPSHOT_FIELDS:
             value = snap[field]
             if isinstance(value, list):
@@ -678,8 +717,21 @@ class CDCLSolver:
             elif isinstance(value, dict):
                 value = dict(value)
             setattr(self, field, value)
-        self._watches = [wl[:] for wl in snap["_watches"]]
-        self._tern_watches = [wl[:] for wl in snap["_tern_watches"]]
+        dirty = self._dirty_lits
+        snap_watches = snap["_watches"]
+        snap_tern = snap["_tern_watches"]
+        if dirty is None:
+            self._watches = [wl[:] for wl in snap_watches]
+            self._tern_watches = [wl[:] for wl in snap_tern]
+        else:
+            watches = self._watches
+            tern_watches = self._tern_watches
+            for lit in snap["_long_lits"]:
+                watches[lit] = snap_watches[lit][:]
+            for lit in dirty:
+                watches[lit] = snap_watches[lit][:]
+                tern_watches[lit ^ 1] = snap_tern[lit ^ 1][:]
+        self._dirty_lits = set()
         # The heap must index into the *restored* activity list, not the
         # snapshot's: rebuild it around self._activity and graft the frozen
         # order back on.
@@ -746,6 +798,7 @@ class CDCLSolver:
         self._tern_watches: list[list[tuple[int, int, int]]] = [
             [] for _ in range((n + 1) << 1)
         ]
+        self._dirty_lits = None  # new lists: no snapshot can be restored in part
         self._values[0] = _FALSE  # the binary-clause sentinel literal
         #: True once any clause of length >= 4 is attached; while False the
         #: propagation loop skips the arena-backed long-clause path.
@@ -805,6 +858,9 @@ class CDCLSolver:
     def _attach(self, cref: int) -> None:
         arena = self._arena
         size = arena[cref]
+        dirty = self._dirty_lits
+        if dirty is not None:  # a root snapshot is live: log the edited lists
+            dirty.update(arena[cref + 1 : cref + 1 + size])
         l0 = arena[cref + 1]
         l1 = arena[cref + 2]
         if size == 3:
@@ -1277,6 +1333,7 @@ class CDCLSolver:
             del wl[:]
         for wl in self._tern_watches:
             del wl[:]
+        self._dirty_lits = None  # every list is rebuilt under the new crefs
         self._has_long = False  # recomputed by the re-attach pass below
         for group in (self._clauses, self._learnts):
             for cref in group:

@@ -462,6 +462,127 @@ class TestBatchedVsScalar:
             )
 
 
+class _CheckedRestoreSolver(CDCLSolver):
+    """A CDCL solver that checks every root-snapshot restore against the snapshot.
+
+    ``_restore_root_state`` copies back only the watch lists it logged as
+    dirty; here every restore is followed by a full comparison, so a list
+    the log missed fails the restore that missed it.
+    """
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.partial_restores = 0
+        self.full_restores = 0
+        self.collections = 0
+
+    def _garbage_collect(self):
+        self.collections += 1
+        super()._garbage_collect()
+
+    def _restore_root_state(self, snap):
+        if self._dirty_lits is None:
+            self.full_restores += 1
+        else:
+            self.partial_restores += 1
+        super()._restore_root_state(snap)
+        for field in self._SNAPSHOT_FIELDS:
+            value = getattr(self, field)
+            assert value == snap[field], field
+            if isinstance(value, (list, dict)):
+                assert value is not snap[field], field
+        for field in ("_watches", "_tern_watches"):
+            lists = getattr(self, field)
+            assert lists == snap[field], field
+            assert not any(a is b for a, b in zip(lists, snap[field])), field
+        assert self._heap._heap == snap["_heap"]
+        assert self._heap._indices == snap["_heap_indices"]
+        assert self._heap._activity is self._activity
+        assert not any(self._seen)
+
+
+class TestRestoredRootState:
+    """Every partial restore of the batched engine equals the root snapshot.
+
+    Runs ``solve_batch`` on solvers built by ``load`` and by ``load_image``,
+    over fuzz CNFs with and without long clauses, with an incremental solve
+    and an ``import_clauses`` between two batches, and on a pigeonhole
+    formula where ``_reduce_db`` and ``_garbage_collect`` fire inside the
+    rows.  Each row's result must also equal a fresh ``solve(cnf, row)``.
+    """
+
+    @staticmethod
+    def _build(builder: str, cnf: CNF, config=None) -> _CheckedRestoreSolver:
+        from repro.sat.cdcl.image import ArenaImage
+
+        solver = _CheckedRestoreSolver(config)
+        if builder == "load":
+            return solver.load(cnf)
+        return solver.load_image(ArenaImage.freeze(cnf, config))
+
+    @staticmethod
+    def _assert_rows_equal_fresh(solver, cnf: CNF, rows, results) -> None:
+        for row, result in zip(rows, results, strict=True):
+            fresh = CDCLSolver(solver.config).solve(cnf, assumptions=list(row))
+            assert result.status is fresh.status, row
+            assert result.model == fresh.model, row
+            assert result.conflict_activity == fresh.conflict_activity, row
+            for counter in (
+                "conflicts", "decisions", "propagations", "restarts",
+                "learned_clauses", "deleted_clauses", "max_decision_level",
+            ):
+                assert getattr(result.stats, counter) == getattr(fresh.stats, counter), (
+                    counter, row,
+                )
+
+    @classmethod
+    def _batch_incremental_import_batch(cls, solver, cnf: CNF, rows, donor_row) -> None:
+        first = solver.solve_batch(rows)
+        cls._assert_rows_equal_fresh(solver, cnf, rows, first)
+        # Between the batches the snapshot stays live: the incremental solve
+        # attaches learnt clauses and the import attaches more, and the next
+        # batch's up-front restore must undo all of it.
+        solver.solve(assumptions=list(donor_row))
+        donor = CDCLSolver(solver.config).load(cnf)
+        donor.solve(assumptions=list(donor_row))
+        implied = [clause for clause, _lbd in donor.exportable_clauses()]
+        implied.extend(clause for clause in cnf.clauses[:4] if len(clause) > 1)
+        assert solver.import_clauses(implied) > 0
+        second = solver.solve_batch(rows[::-1])
+        cls._assert_rows_equal_fresh(solver, cnf, rows[::-1], second)
+
+    @pytest.mark.parametrize("builder", ["load", "load_image"])
+    def test_restores_equal_the_snapshot_on_fuzz_cnfs(self, builder):
+        for seed in range(4):
+            ternary = random_ksat(12, 52, k=3, seed=8100 + seed)
+            long_only = random_ksat(14, 130, k=4, seed=8200 + seed)
+            mixed = CNF(
+                list(random_ksat(12, 30, k=3, seed=8300 + seed).clauses)
+                + list(random_ksat(12, 40, k=5, seed=8400 + seed).clauses),
+                12,
+            )
+            for index, cnf in enumerate((ternary, long_only, mixed)):
+                rows = TestBatchedVsScalar._rows_for(cnf, seed=8500 + 3 * seed + index, count=9)
+                solver = self._build(builder, cnf)
+                self._batch_incremental_import_batch(solver, cnf, rows, rows[0])
+                assert solver.partial_restores > 0
+
+    @pytest.mark.parametrize("builder", ["load", "load_image"])
+    def test_restores_equal_the_snapshot_after_reduction_and_collection(self, builder):
+        from repro.sat.cdcl.config import CDCLConfig
+        from repro.sat.random_cnf import pigeonhole
+
+        cnf = pigeonhole(6)  # long pigeon clauses, binary hole clauses
+        solver = self._build(builder, cnf, CDCLConfig(learntsize_factor=0.01))
+        rows = [(), (1,), (-1, 2), (3, -4)]
+        self._batch_incremental_import_batch(solver, cnf, rows, (5,))
+        assert solver.collections > 0, "the arena collector never ran"
+        # A collection rebuilds every list, so the next restore copies them
+        # all; the restores between collections stay partial.
+        assert solver.full_restores > 0
+        assert solver.partial_restores > 0
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_incremental_statuses_stable_across_call_order(seed):
     """Permuting the assumption vectors must not change any decided status."""

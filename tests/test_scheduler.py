@@ -408,6 +408,22 @@ class TestScheduledEstimation:
         assert serial.statistics == cluster.statistics
         assert serial.value == cluster.value
 
+    def test_pdsat_scheduled_estimation_uses_the_orchestrators_solver(self):
+        from repro.api.specs import InstanceSpec, SolverSpec
+        from repro.core.pdsat import PDSAT
+
+        instance = InstanceSpec(cipher="geffe-tiny", seed=1).build()
+        variables = instance.start_set[:4]
+        pdsat = PDSAT(instance, solver=SolverSpec(name="dpll"), sample_size=8)
+        scheduled = pdsat.estimate_samples_scheduled(variables)
+        dpll = estimate_family_scheduled(
+            pdsat.cnf, variables, sample_size=8, seed=pdsat.seed, solver="dpll"
+        )
+        cdcl = estimate_family_scheduled(pdsat.cnf, variables, sample_size=8, seed=pdsat.seed)
+        assert dpll.costs != cdcl.costs  # the two solvers are told apart
+        assert scheduled.costs == dpll.costs
+        assert scheduled.statuses == dpll.statuses
+
 
 class TestPDSATBackendRouting:
     def test_solve_family_through_backend_matches_inline_loop(self):

@@ -590,17 +590,45 @@ class TestBackpressure:
 
     def test_client_submit_retries_through_backpressure(self, daemon_factory):
         daemon = daemon_factory(workers=1, max_queue_depth=1)
+        _hold_at_event(daemon, 3)  # the blocker occupies the worker until cancelled
         client = ServiceClient(
             daemon.socket_path, backoff_base=0.05, backoff_cap=0.5
         )
-        blocker = client.submit("solve", _solve_config(decomposition_bits=8))
-        client.submit("estimate", _estimate_config(seed=31))  # fills the queue
-        # Retries with jittered backoff until the queue drains, then lands.
-        outcome = client.submit(
-            "estimate", _estimate_config(seed=32), retries=100
+        blocker = client.submit("solve", _solve_config(decomposition_bits=10))
+        _wait_for_progress(client, blocker["job_id"])
+        filler = client.submit("estimate", _estimate_config(seed=31))  # fills the queue
+        # Count the rejections the retrying submit meets, in its own thread.
+        rejections: list[str] = []
+        request = client._request
+
+        def recording_request(op, **fields):
+            try:
+                return request(op, **fields)
+            except ServiceError as error:
+                rejections.append(error.code)
+                raise
+
+        client._request = recording_request
+        landed: list[dict] = []
+        retrying = threading.Thread(
+            target=lambda: landed.append(
+                client.submit("estimate", _estimate_config(seed=32), retries=100)
+            ),
+            daemon=True,
         )
-        assert client.wait(outcome["job_id"], timeout=120.0)["state"] == "done"
-        assert client.wait(blocker["job_id"], timeout=120.0)["state"] == "done"
+        retrying.start()
+        deadline = time.time() + 60.0
+        while not rejections and time.time() < deadline:
+            time.sleep(0.01)
+        assert "backpressure" in rejections, rejections
+        # Retries with jittered backoff until the queue drains, then lands.
+        client.cancel(blocker["job_id"])
+        retrying.join(120.0)
+        assert landed, "the retrying submit never landed"
+        assert set(rejections) == {"backpressure"}
+        assert client.wait(blocker["job_id"], timeout=120.0)["state"] == "cancelled"
+        assert client.wait(filler["job_id"], timeout=120.0)["state"] == "done"
+        assert client.wait(landed[0]["job_id"], timeout=120.0)["state"] == "done"
 
     def test_error_codes_round_trip_the_socket(self, daemon_factory):
         daemon = daemon_factory(workers=1, max_active_per_tenant=1)

@@ -11,16 +11,15 @@ one shared path: the family becomes a task graph, the run gets its own
 :func:`~repro.runner.pool.worker_executor` builds (inline, real process pool,
 simulated virtual-clock cluster), and the scheduler of
 :mod:`repro.runner.scheduler` contributes retry budgets, checkpoint/resume and
-order-independent result folding.  On the inline (serial) executor and the
-process pool, with a solver that has ``solve_batch`` and no per-call
-``simplify``, each task carries a chunk of rows solved by one
-``solve_batch`` call — bit-identical to fresh solves — while progress
-events and checkpoint records stay one per sub-problem; inline chunks are
-sized from the pace of the last one, so progress events stay about a
-quarter of a second apart however slow the rows are.  Every other task
-carries one row, solved fresh: on the simulated cluster, whose virtual
-clock charges each sub-problem to a core, and for every other solver.
-:class:`SubproblemOutcome` — with :func:`encode_outcome` /
+order-independent result folding.  Every task carries a chunk of rows,
+cut when a worker goes idle and sized from the pace of the last chunk to
+finish, so progress events stay about a quarter of a second apart however
+slow the rows are — except on the simulated cluster, whose virtual clock
+charges each sub-problem to a core, where every chunk holds one row.  A
+chunk is one ``solve_batch`` call — bit-identical to fresh solves — when
+the solver has it and ``simplify`` is off, and one fresh solve per row
+otherwise; progress events and checkpoint records stay one per
+sub-problem.  :class:`SubproblemOutcome` — with :func:`encode_outcome` /
 :func:`decode_outcome`, its checkpoint format — is the one outcome type of
 that path, defined in :mod:`repro.runner.pool` and re-exported here.
 
@@ -49,7 +48,6 @@ through this path.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -177,15 +175,15 @@ def _validate_family_checkpoint(graph, checkpoint: SchedulerCheckpoint) -> None:
             )
 
 
-#: Most rows one chunk task carries (one ``solve_batch`` call).
+#: Most rows one chunk task carries.
 _MAX_CHUNK_ROWS = 64
 
-#: About how long one chunk on the inline executor may run.  The progress
-#: callback — where the service daemon checks cancellation, resource budgets
-#: and shutdown — runs only between chunks, so inline chunks are sized from
-#: the pace of the last one to keep its calls about this far apart, however
-#: slow the rows are.
-_INLINE_CHUNK_SECONDS = 0.25
+#: About how long one chunk may run.  The progress callback — where the
+#: service daemon checks cancellation, resource budgets and shutdown — runs
+#: only as chunks finish, so each chunk is sized from the pace of the last
+#: one that finished to keep its calls about this far apart, however slow
+#: the rows are.
+_CHUNK_SECONDS = 0.25
 
 
 def _run_family_scheduler(
@@ -210,24 +208,15 @@ def _run_family_scheduler(
 
     One :class:`~repro.runner.pool.WorkerState` for this run, the
     ``executor`` built around it by :func:`~repro.runner.pool.worker_executor`,
-    and one scheduler pass over the family's task graph — or, on the inline
-    executor and the process pool with a solver that can batch, over chunks
-    of it (:func:`_solve_in_chunks`; inline, one pass per chunk).
+    and one scheduler pass over the family's chunks (:func:`_solve_in_chunks`).
     """
     graph = family_tasks(assumption_vectors)
     if checkpoint is not None:
         _validate_family_checkpoint(graph, checkpoint)
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     spec = solver or SolverSpec()
-    # solve_batch is bit-identical to fresh solves, but not with per-call
-    # preprocessing, whose result depends on each row's frozen variables.
-    # The simulated cluster keeps one row per task: its virtual clock
-    # charges every sub-problem to a core of its own.
-    chunked = (
-        executor in ("serial", "process-pool")
-        and not spec.options.get("simplify")
-        and hasattr(spec.build(), "solve_batch")
-    )
-    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=chunked)
+    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
     total = len(graph)
     completed = {"count": 0}
 
@@ -241,41 +230,15 @@ def _run_family_scheduler(
     # executors, stopping at the first SAT *completion* could leave earlier
     # sub-problems unresolved and silently punch holes in the reported
     # prefix.  Everyone else solves the whole family and truncates after.
-    inline_stop = stop_on_sat and executor == "serial"
-    retry = retry or RetryPolicy(max_attempts=3)
     with worker_executor(
         executor, state, workers=workers, dispatch_latency=dispatch_latency,
         failures=failures,
     ) as resolved:
-        if chunked:
-            solved, run = _solve_in_chunks(
-                graph, resolved, executor == "serial", retry, checkpoint, checkpoint_sink,
-                checkpoint_every, advance, trace, inline_stop,
-            )
-        else:
-            run = Scheduler(
-                graph,
-                resolved,
-                retry=retry,
-                checkpoint=checkpoint,
-                result_decoder=decode_outcome,
-                checkpoint_sink=checkpoint_sink,
-                result_encoder=encode_outcome,
-                checkpoint_every=checkpoint_every,
-                stop_on=(
-                    (lambda task_id, value: value.status is SolverStatus.SAT)
-                    if inline_stop
-                    else None
-                ),
-                on_result=lambda task_id, value: advance(),
-                trace=trace,
-            ).run()
-            solved = {task_id: record.value for task_id, record in run.results.items()}
-    if run.failed:
-        task_id, error = next(iter(run.failed.items()))
-        raise RuntimeError(
-            f"{len(run.failed)} sub-problems failed after retries "
-            f"(first: {task_id}: {error})"
+        solved, run = _solve_in_chunks(
+            graph, resolved, retry or RetryPolicy(max_attempts=3), checkpoint,
+            checkpoint_sink, checkpoint_every, advance, trace,
+            stop_on_sat=stop_on_sat and executor == "serial",
+            one_row=executor == "simulated-cluster",
         )
     outcomes: list[SubproblemOutcome] = []
     for task_id in graph.task_ids:
@@ -298,7 +261,6 @@ def _run_family_scheduler(
 def _solve_in_chunks(
     graph: TaskGraph,
     executor: Executor,
-    inline: bool,
     retry: RetryPolicy,
     checkpoint: SchedulerCheckpoint | None,
     checkpoint_sink: Callable[[SchedulerCheckpoint], None] | None,
@@ -306,18 +268,20 @@ def _solve_in_chunks(
     advance: Callable[[], None],
     trace,
     stop_on_sat: bool,
+    one_row: bool,
 ) -> tuple[dict[str, SubproblemOutcome], SchedulerRun]:
-    """Solve the family's unsolved rows in chunks, one ``solve_batch`` call each.
+    """Solve the family's unsolved rows in chunks, in one scheduler pass.
 
-    The scheduler dispatches, retries and traces the chunks.  On the process
-    pool the rows missing from ``checkpoint`` are split up front into chunks
-    of ``min(64, ceil(pending / (4 × workers)))`` rows — enough chunks for
-    every worker to take several, few enough that each solver load serves
-    many rows.  On the ``inline`` executor the chunks are solved one at a
-    time and sized as they go: the first holds one row, and each next one
-    twice as many as the last, up to 64 — or, when the last took more than
-    half of :data:`_INLINE_CHUNK_SECONDS`, as many as its pace fits into
-    that time, at least one.
+    The scheduler dispatches, retries and traces the chunks, and takes the
+    next one from this function whenever a worker goes idle with nothing
+    queued: the first chunk holds one row, and each next one twice as many
+    as the last one cut, up to 64 — but never more than the pace of the last
+    chunk to finish (from its dispatch to its result) fits into
+    :data:`_CHUNK_SECONDS`, and at least one.  Until a chunk has finished
+    there is no pace, so each chunk cut before then (one per pool worker)
+    holds one row.  With ``one_row`` (the simulated cluster, whose virtual
+    clock charges each sub-problem to a core) every chunk holds one row and
+    all of them are queued at the start.
     Everything else stays per sub-problem: ``advance`` (the progress event)
     runs once per row, restored rows first; the sink's snapshots hold one
     ``sub-%06d`` record per sub-problem, in family order, and each chunk's
@@ -338,8 +302,20 @@ def _solve_in_chunks(
     pending = [task_id for task_id in graph.task_ids if task_id not in solved]
     if stop_on_sat and any(outcome.status is SolverStatus.SAT for outcome in solved.values()):
         pending = []
-    members: dict[str, list[str]] = {}
-    fresh = saved = 0
+    members: dict[str, tuple[list[str], float]] = {}  # chunk -> (rows, cut at)
+    fresh = saved = cut = last = 0
+    fits = 1
+
+    def next_chunk(size: int | None = None) -> Task | None:
+        """The next ``size`` pending rows as one task (by default, as the rule allows)."""
+        nonlocal cut, last
+        if cut == len(pending):
+            return None
+        ids = pending[cut : cut + (size or max(1, min(_MAX_CHUNK_ROWS, 2 * last, fits)))]
+        cut, last = cut + len(ids), len(ids)
+        chunk_id = f"chunk-{len(members):06d}"
+        members[chunk_id] = (ids, time.perf_counter())
+        return Task(task_id=chunk_id, payload=tuple(graph.task(task_id).payload for task_id in ids))
 
     def save() -> None:
         nonlocal saved
@@ -356,8 +332,9 @@ def _solve_in_chunks(
         saved = fresh
 
     def on_chunk(chunk_id: str, values: list[SubproblemOutcome]) -> None:
-        nonlocal fresh
-        ids = members[chunk_id]
+        nonlocal fresh, fits
+        ids, cut_at = members[chunk_id]
+        fits = int(len(ids) * _CHUNK_SECONDS / max(time.perf_counter() - cut_at, 1e-9))
         solved.update(zip(ids, values))
         fresh += len(ids)
         if checkpoint_sink is not None and (
@@ -367,47 +344,27 @@ def _solve_in_chunks(
         for _ in ids:
             advance()
 
-    def solve(plan: list[list[str]]) -> SchedulerRun:
-        """One scheduler pass over the chunks ``plan`` lists (sub-problem ids each)."""
-        chunks = []
-        for ids in plan:
-            chunk_id = f"chunk-{len(members):06d}"
-            members[chunk_id] = ids
-            chunks.append(
-                Task(task_id=chunk_id, payload=tuple(graph.task(task_id).payload for task_id in ids))
-            )
-        return Scheduler(
-            TaskGraph(chunks),
-            executor,
-            retry=retry,
-            on_result=on_chunk,
-            stop_on=(
-                (lambda chunk_id, values: any(v.status is SolverStatus.SAT for v in values))
-                if stop_on_sat
-                else None
-            ),
-            trace=trace,
-        ).run()
-
-    if inline:
-        passes: list[SchedulerRun] = []
-        begin, size = 0, 1
-        while begin < len(pending):
-            ids = pending[begin : begin + size]
-            started = time.perf_counter()
-            passes.append(solve([ids]))
-            if passes[-1].stopped_early or passes[-1].failed:
-                break
-            elapsed = max(time.perf_counter() - started, 1e-9)
-            fits = int(len(ids) * _INLINE_CHUNK_SECONDS / elapsed)
-            begin += len(ids)
-            size = max(1, min(_MAX_CHUNK_ROWS, 2 * len(ids), fits))
-        run = _joined(passes)
-    else:
-        size = min(_MAX_CHUNK_ROWS, max(1, math.ceil(len(pending) / (4 * executor.num_workers))))
-        run = solve([pending[begin : begin + size] for begin in range(0, len(pending), size)])
+    run = Scheduler(
+        TaskGraph(next_chunk(1) for _ in range(len(pending) if one_row else 0)),
+        executor,
+        retry=retry,
+        on_result=on_chunk,
+        stop_on=(
+            (lambda chunk_id, values: any(v.status is SolverStatus.SAT for v in values))
+            if stop_on_sat
+            else None
+        ),
+        trace=trace,
+        source=next_chunk,
+    ).run()
     if checkpoint_sink is not None and fresh != saved:
         save()
+    if run.failed:
+        chunk_id, error = next(iter(run.failed.items()))
+        raise RuntimeError(
+            f"{sum(len(members[failed][0]) for failed in run.failed)} sub-problems failed "
+            f"after retries (first: {members[chunk_id][0][0]}: {error})"
+        )
     run.metadata["from_checkpoint"] = len(graph) - len(pending)
     return solved, run
 
@@ -416,21 +373,6 @@ def _solve_in_chunks(
 _SCHEDULER_COUNTERS = (
     "dispatches", "retries", "crashes", "duplicates_discarded", "from_checkpoint",
 )
-
-
-def _joined(passes: list[SchedulerRun]) -> SchedulerRun:
-    """The scheduler passes of one inline chunked run, reported as one run."""
-    run = SchedulerRun(graph_order=[task_id for part in passes for task_id in part.graph_order])
-    for part in passes:
-        run.results.update(part.results)
-        run.failed.update(part.failed)
-        run.stopped_early = run.stopped_early or part.stopped_early
-        run.wall_time += part.wall_time
-    run.completed = len(run.results) == len(run.graph_order)
-    run.metadata = {
-        key: sum(part.metadata.get(key, 0) for part in passes) for key in _SCHEDULER_COUNTERS
-    }
-    return run
 
 
 def _scheduler_metadata(run: SchedulerRun) -> dict[str, Any]:
@@ -443,17 +385,16 @@ class SerialBackend:
     """Solve every sub-problem sequentially in the calling process.
 
     The family travels in chunks, each solved by one ``solve_batch`` call on
-    a solver loaded once per run: the first chunk holds one row, and each
-    next one twice as many as the last, up to 64 — fewer when the last one
-    took more than an eighth of a second, so that progress events (where a
-    caller can stop the run) stay about a quarter of a second apart.  The
-    scheduler's ``dispatches`` (and trace task events) count chunks;
-    progress events, checkpoint records and ``checkpoint_every`` stay per
-    sub-problem, and every status, cost and model equals a fresh solve of
-    that row.  ``stop_on_sat`` solves no chunk after the first one that
-    holds a satisfiable row, and reports the outcomes up to that row.
-    Solvers without ``solve_batch``, or with ``simplify`` on, get one fresh
-    solve per row.
+    a solver loaded once per run (row by row, fresh, for a solver without
+    ``solve_batch`` or with ``simplify`` on): the first chunk holds one row,
+    and each next one twice as many as the last, up to 64 — fewer when the
+    last one took more than an eighth of a second, so that progress events
+    (where a caller can stop the run) stay about a quarter of a second
+    apart.  The scheduler's ``dispatches`` (and trace task events) count
+    chunks; progress events, checkpoint records and ``checkpoint_every``
+    stay per sub-problem, and every status, cost and model equals a fresh
+    solve of that row.  ``stop_on_sat`` solves no chunk after the first one
+    that holds a satisfiable row, and reports the outcomes up to that row.
     """
 
     name = "serial"
@@ -495,22 +436,18 @@ class ProcessPoolBackend:
     in-process loop (handy in tests).  Each worker process receives the run's
     worker state once, through the pool initializer; a pool that cannot start
     falls back to threads on the same per-run state, with identical results.
-    The rows still to solve travel in chunks of
-    ``min(64, ceil(pending / (4 × processes)))``, each solved by one
-    ``solve_batch`` call on a solver loaded once per worker, so the
-    scheduler's ``dispatches`` (and trace task events) count chunks; progress
-    events, checkpoint records and ``checkpoint_every`` stay per sub-problem,
-    and every status, cost and model equals a fresh solve of that row.
-    Solvers without ``solve_batch``, or with ``simplify`` on, get one fresh
-    solve per row.  ``stop_on_sat`` is emulated by truncating the outcome
-    list at the first satisfiable sub-problem, which reproduces exactly what
-    the serial backend would have reported.
-
-    Limitation: the chunks are fixed before the first one runs, and progress
-    events arrive only as whole chunks complete, so a caller that stops the
-    run from its progress callback (the service daemon's cancel, budget and
-    shutdown checks) is reached once per chunk of up to 64 rows per worker,
-    not once per row or about every quarter second as on the serial backend.
+    The rows travel in chunks cut as workers go idle, by the serial
+    backend's rule, so each chunk is sized from the pace of the last one to
+    finish and progress events stay about a quarter of a second apart; each
+    chunk is one ``solve_batch`` call on a solver loaded once per worker
+    (row by row, fresh, for a solver without ``solve_batch`` or with
+    ``simplify`` on).  The scheduler's ``dispatches`` (and trace task
+    events) count chunks, and depend on the measured pace; progress events,
+    checkpoint records and ``checkpoint_every`` stay per sub-problem, and
+    every status, cost and model equals a fresh solve of that row.
+    ``stop_on_sat`` is emulated by truncating the outcome list at the first
+    satisfiable sub-problem, which reproduces exactly what the serial
+    backend would have reported.
     """
 
     name = "process-pool"
@@ -569,7 +506,9 @@ class SimulatedClusterBackend:
     and ``failures_seed`` configure the simulated executor's latency/failure
     models: injected faults change the *virtual* makespan
     (``metadata["virtual_makespan"]``) and retry counters but never the
-    outcomes, which stay bit-identical to the serial backend.
+    outcomes, which stay bit-identical to the serial backend.  Every chunk
+    holds one row and all of them are queued at the start, so the virtual
+    clock charges each sub-problem to a core of its own.
     """
 
     name = "simulated-cluster"

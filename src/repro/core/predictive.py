@@ -27,9 +27,10 @@ Batched estimation engine
 This module is the hot path of the whole reproduction: a single estimating-mode
 run performs ``max_evaluations × N`` sub-instance solves.  They all go through
 one sample loop, which :meth:`PredictiveFunction.evaluate` and
-:meth:`PredictiveFunction.exhaustive_value` share: it walks the sample in
-order, replays cache hits (below), and takes every other row's result from
-one of four row engines:
+:meth:`PredictiveFunction.exhaustive_value` share (except on an incremental
+evaluator, whose exhaustive value solves every row fresh): it walks the
+sample in order, replays cache hits (below), and takes every other row's
+result from one of four row engines:
 
 * *fresh* (the default): ``solve(cnf, assumptions=row)``, the paper's ξ;
 * *incremental*: ``solve(assumptions=row)`` on the loaded solver (below);
@@ -86,6 +87,7 @@ differently configured solvers learn different clauses.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from collections import OrderedDict
@@ -513,15 +515,30 @@ class PredictiveFunction:
 
         Only feasible for small ``d``; used by the Monte Carlo convergence
         benchmark and by the solving mode's ground truth in tests.  Returns the
-        total cost and the per-sub-instance cost list.
+        total cost and the per-sub-instance cost list.  Every cost is a fresh
+        solve's: an incremental evaluator solves each row fresh on a copy of
+        its solver, bypassing the sample cache, so a later evaluation returns
+        what it would have returned without this call.
         """
         dec = DecompositionSet.coerce(decomposition)
         if dec.num_subproblems > max_subproblems:
             raise ValueError(
                 f"2^{dec.d} sub-problems exceed the max_subproblems={max_subproblems} safety limit"
             )
-        costs = [
-            observation.cost
-            for observation, _ in self._solve_sample(list(dec.all_assignments()), dec)
-        ]
+        assignments = list(dec.all_assignments())
+        if not self.incremental:
+            costs = [observation.cost for observation, _ in self._solve_sample(assignments, dec)]
+            return sum(costs), costs
+        # Incremental costs depend on what the solver learned before, and t is
+        # defined by fresh solves: solve every row fresh on a copy of the
+        # solver, so that neither its state nor the sample cache sees the call.
+        solver = copy.deepcopy(self.solver)
+        costs = []
+        for assignment in assignments:
+            self.num_subproblem_solves += 1
+            self.num_solver_calls += 1
+            result = solver.solve(
+                self.cnf, assumptions=assignment.to_literals(), budget=self.subproblem_budget
+            )
+            costs.append(result.stats.cost(self.cost_measure))
         return sum(costs), costs

@@ -217,6 +217,11 @@ def estimate_family_scheduled(
                 f"{ESTIMATION_EXECUTORS} or an Executor instance"
             )
         state = WorkerState(cnf, solver, solver_options, cost_measure, budget, batched)
+        if batched and not state.solves_in_batches:
+            raise ValueError(
+                f"batch_size > 1 requires a solver with solve_batch (the arena "
+                f"'cdcl' engine) and simplify off; {solver!r} cannot batch"
+            )
         executors = worker_executor(
             executor,
             state,

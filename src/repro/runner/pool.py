@@ -9,10 +9,11 @@ decomposition family in solving mode.  That one job is written once here:
   thread.  Calling it with a task payload is the row-solving kernel: it
   solves the task's rows against the run's formula and returns
   :class:`SubproblemOutcome` records.  A batched state's tasks carry a tuple
-  of rows — a chunk of a batched estimation's sample, or of a family solved
-  on the serial executor or the process pool — solved together by
-  ``solve_batch`` on a solver loaded once per thread; every other task
-  carries one row, solved by a fresh ``solve(cnf, row)``.
+  of rows — a batch of a batched estimation's sample, or a chunk of a
+  family on any backend — solved together by ``solve_batch`` on a solver
+  loaded once per thread when the solver has it and ``simplify`` is off,
+  and otherwise row by row, each by a fresh ``solve(cnf, row)``; an
+  unbatched state's tasks carry one row, solved fresh.
 * :func:`worker_executor` is the one executor factory: serial (inline),
   thread, real process pool or simulated virtual-clock cluster, each running
   the same kernel.  Scheduled estimation
@@ -97,12 +98,17 @@ def decode_outcome(data: dict[str, Any]) -> SubproblemOutcome:
 class WorkerState:
     """The worker state of one run, with one solver per thread.
 
-    ``formula`` is a CNF, or — inside pool workers of a batched run on the
-    arena engine — the frozen :class:`~repro.sat.cdcl.image.ArenaImage` of
-    one, which each thread's solver rebuilds from with ``load_image`` instead
-    of re-normalising the clauses.  The solver is built
-    from the ``solver`` registry name and ``solver_options`` here, so an
-    unknown name or option fails in the caller, not in a worker.
+    ``formula`` is a CNF, or — inside pool workers of a run that solves with
+    ``solve_batch`` on the arena engine — the frozen
+    :class:`~repro.sat.cdcl.image.ArenaImage` of one, which each thread's
+    solver rebuilds from with ``load_image`` instead of re-normalising the
+    clauses.  The solver is built from the ``solver`` registry name and
+    ``solver_options`` here, so an unknown name or option fails in the
+    caller, not in a worker.  ``batched`` states take tuples of rows, and
+    :attr:`solves_in_batches` tells whether one ``solve_batch`` call solves
+    each tuple: it needs a solver that has ``solve_batch`` and no per-call
+    ``simplify``, whose preprocessed database would depend on each row's
+    frozen variables.
 
     Pickling a state yields a reference to the copy
     :func:`worker_executor`'s pool initializer installed in the worker
@@ -127,11 +133,10 @@ class WorkerState:
         self.token = uuid.uuid4().hex
         self._factory = get_solver(solver)
         probe = self._factory(**self.options)
-        if batched and not hasattr(probe, "solve_batch"):
-            raise ValueError(
-                f"batch_size > 1 requires a solver with solve_batch (the arena "
-                f"'cdcl' engine); {solver!r} does not expose it"
-            )
+        #: Whether a task's tuple of rows is solved by one ``solve_batch`` call.
+        self.solves_in_batches = (
+            batched and hasattr(probe, "solve_batch") and not self.options.get("simplify")
+        )
         self._local = threading.local()
 
     def __call__(self, payload):
@@ -144,10 +149,15 @@ class WorkerState:
         solver = self._thread_solver()
         if self.batched:
             rows = [tuple(int(lit) for lit in row) for row in payload]
-            results = solver.solve_batch(rows, budget=self.budget)
         else:
             rows = [tuple(int(lit) for lit in payload)]
-            results = [solver.solve(self.formula, assumptions=list(rows[0]), budget=self.budget)]
+        if self.solves_in_batches:
+            results = solver.solve_batch(rows, budget=self.budget)
+        else:
+            results = [
+                solver.solve(self.formula, assumptions=list(row), budget=self.budget)
+                for row in rows
+            ]
         outcomes = [
             SubproblemOutcome(
                 assumptions=row,
@@ -161,7 +171,7 @@ class WorkerState:
         return outcomes if self.batched else outcomes[0]
 
     def _thread_solver(self):
-        """This thread's solver; a batched state's is loaded with the formula once.
+        """This thread's solver, loaded with the formula once if it solves in batches.
 
         A fresh ``solve(cnf, row)`` re-initialises the solver, so one solver
         per thread behaves exactly like a fresh solver per row — and a retried
@@ -170,9 +180,9 @@ class WorkerState:
         solver = getattr(self._local, "solver", None)
         if solver is None:
             solver = self._factory(**self.options)
-            if self.batched and isinstance(self.formula, ArenaImage):
+            if self.solves_in_batches and isinstance(self.formula, ArenaImage):
                 solver.load_image(self.formula)
-            elif self.batched:
+            elif self.solves_in_batches:
                 solver.load(self.formula)
             self._local.solver = solver
         return solver
@@ -215,11 +225,12 @@ def worker_executor(
     * ``"thread"`` — on ``workers`` threads (default 4);
     * ``"process-pool"`` — on ``workers`` worker processes (default: every
       core).  The state travels once per worker through the pool
-      initializer.  A batched state on the arena engine ships its formula as
-      the words of a frozen :class:`~repro.sat.cdcl.image.ArenaImage`
-      instead of the CNF: forked workers inherit the initializer's arguments
-      without pickling them, and each thread's solver rebuilds its clause
-      database from the image without re-normalising a clause;
+      initializer.  A state that solves in batches on the arena engine ships
+      its formula as the words of a frozen
+      :class:`~repro.sat.cdcl.image.ArenaImage` instead of the CNF: forked
+      workers inherit the initializer's arguments without pickling them, and
+      each thread's solver rebuilds its clause database from the image
+      without re-normalising a clause;
     * ``"simulated-cluster"`` — on ``workers`` virtual cores (default 8) of a
       :class:`~repro.runner.scheduler.SimulatedGridExecutor`, where a task
       occupies its core for its rows' summed cost, plus ``dispatch_latency``
@@ -247,7 +258,7 @@ def worker_executor(
         import multiprocessing
 
         formula = state.formula
-        if state.batched and state.solver == "cdcl" and not state.options.get("simplify"):
+        if state.solves_in_batches and state.solver == "cdcl":
             from repro.sat.cdcl.config import CDCLConfig
 
             formula = ArenaImage.freeze(formula, CDCLConfig(**state.options))

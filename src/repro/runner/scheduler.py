@@ -48,7 +48,7 @@ import heapq
 import json
 import random
 import time
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -845,6 +845,14 @@ class Scheduler:
     ----------
     graph:
         The tasks (a :class:`TaskGraph` or any iterable of :class:`Task`).
+    source:
+        More tasks, taken while the run goes on: ``source()`` returns the
+        next dependency-free :class:`Task`, or ``None`` when it has none to
+        give.  The scheduler asks it only when a worker is idle and nothing
+        is queued, and no task has failed, so a source can size each task
+        from what finished before it — the family path of
+        :mod:`repro.api.backends` cuts its chunks this way.  Sourced tasks
+        are reported like the graph's, after them.
     executor:
         Where attempts run.  Defaults are wired by the policy layers; the
         scheduler itself only needs the :class:`Executor` protocol.
@@ -888,8 +896,10 @@ class Scheduler:
         interrupt_after: int | None = None,
         on_result: Callable[[str, Any], None] | None = None,
         trace=None,
+        source: Callable[[], Task | None] | None = None,
     ):
         self.graph = graph if isinstance(graph, TaskGraph) else TaskGraph(graph)
+        self.source = source
         self.executor = executor
         self.retry = retry or RetryPolicy()
         if replication < 1:
@@ -948,12 +958,13 @@ class Scheduler:
         run = SchedulerRun(graph_order=graph.task_ids)
         started = time.perf_counter()
 
+        tasks: dict[str, Task] = {task.task_id: task for task in graph}
         waiting: dict[str, set[str]] = {}  # task -> unmet dependencies
-        dependants: dict[str, list[str]] = {tid: [] for tid in graph.task_ids}
-        attempts: dict[str, int] = {tid: 0 for tid in graph.task_ids}
-        accepted_count: dict[str, int] = {tid: 0 for tid in graph.task_ids}
-        in_flight: dict[str, int] = {tid: 0 for tid in graph.task_ids}
-        queued: dict[str, int] = {tid: 0 for tid in graph.task_ids}
+        dependants: defaultdict[str, list[str]] = defaultdict(list)
+        attempts: defaultdict[str, int] = defaultdict(int)
+        accepted_count: defaultdict[str, int] = defaultdict(int)
+        in_flight: defaultdict[str, int] = defaultdict(int)
+        queued: defaultdict[str, int] = defaultdict(int)
         busy: dict[int, str] = {}
         stats = {
             "dispatches": 0, "crashes": 0, "timeouts": 0, "errors": 0,
@@ -969,11 +980,27 @@ class Scheduler:
             queued[task_id] += 1
 
         def pop() -> str | None:
-            if not queue:
-                return None
-            task_id = queue.popleft()
-            queued[task_id] -= 1
-            return task_id
+            """The next task to dispatch: from the queue, else from the source."""
+            while True:
+                if not queue:
+                    # A run that failed a task takes no more from its source.
+                    task = self.source() if self.source is not None and not run.failed else None
+                    if task is None:
+                        return None
+                    if task.task_id in tasks or task.dependencies:
+                        raise ValueError(
+                            f"source task {task.task_id!r} is not new and dependency-free"
+                        )
+                    tasks[task.task_id] = task
+                    run.graph_order.append(task.task_id)
+                    for _ in range(self.replication):
+                        enqueue(task.task_id)
+                task_id = queue.popleft()
+                queued[task_id] -= 1
+                # Skip stale queue entries: replicated copies of a task
+                # that completed (or fatally failed) meanwhile.
+                if task_id not in run.results and task_id not in run.failed:
+                    return task_id
 
         def complete(task_id: str, value: Any, worker: int | None, at: float,
                      from_checkpoint: bool = False) -> None:
@@ -1048,15 +1075,7 @@ class Scheduler:
                     for worker in range(executor.num_workers):
                         if worker in busy:
                             continue
-                        while True:
-                            task_id = pop()
-                            if task_id is None:
-                                break
-                            # Skip stale queue entries: replicated copies of a
-                            # task that completed (or fatally failed) meanwhile.
-                            if task_id in run.results or task_id in run.failed:
-                                continue
-                            break
+                        task_id = pop()
                         if task_id is None:
                             continue
                         attempts[task_id] += 1
@@ -1065,7 +1084,7 @@ class Scheduler:
                         if self.trace is not None:
                             self.trace.task_dispatch(task_id, stats["dispatches"])
                         busy[worker] = task_id
-                        executor.start(graph.task(task_id), worker, timeout=self.retry.timeout)
+                        executor.start(tasks[task_id], worker, timeout=self.retry.timeout)
                 if not busy:
                     break
 
@@ -1118,7 +1137,7 @@ class Scheduler:
         run.wall_time = time.perf_counter() - started
         run.makespan = getattr(executor, "now", run.wall_time)
         run.worker_loads = list(getattr(executor, "worker_loads", []))
-        run.completed = len(run.results) == len(graph)
+        run.completed = len(run.results) == len(tasks)
         stats["injected_crashes"] = getattr(executor, "injected_crashes", 0)
         stats["injected_stragglers"] = getattr(executor, "injected_stragglers", 0)
         stats["injected_duplicates"] = getattr(executor, "injected_duplicates", 0)

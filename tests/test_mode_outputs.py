@@ -17,8 +17,8 @@ geffe-tiny (seed 1) before each mode's loop was written once:
 
 Wall-clock fields, the checkpoint's temporary path and the scheduler's
 retired ``steals`` counter are left out; everything else must match exactly.
-Serial chunks are sized from their pace, so the solving runs fix the inline
-chunk time as the ``untimed_chunks`` fixture of ``tests/test_runner.py`` does.
+Family chunks are sized from their pace, so the solving runs fix the chunk
+time as the ``untimed_chunks`` fixture of ``tests/test_runner.py`` does.
 
 Regenerate the file only when an output is meant to change::
 
@@ -137,7 +137,7 @@ def snapshot() -> dict:
     """Every pinned output, in the layout of the data file."""
     import repro.api.backends as backends
 
-    backends._INLINE_CHUNK_SECONDS = 1e9
+    backends._CHUNK_SECONDS = 1e9
     with tempfile.TemporaryDirectory() as directory:
         return {
             "estimator": {
@@ -172,7 +172,7 @@ def test_experiment_solve_outputs_match_the_pinned_ones(
 ):
     import repro.api.backends as backends
 
-    monkeypatch.setattr(backends, "_INLINE_CHUNK_SECONDS", 1e9)
+    monkeypatch.setattr(backends, "_CHUNK_SECONDS", 1e9)
     assert _json_plain(solve_outputs(backend, str(tmp_path))) == pinned["solve"][backend]
 
 

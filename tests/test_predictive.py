@@ -189,3 +189,48 @@ class TestExhaustive:
             decomposition
         )
         assert estimate == pytest.approx(truth, rel=0.5)
+
+
+#: Every sample-cache setting: the default, off, and an evicting capacity of 4.
+CACHES = [{}, {"sample_cache_size": None}, {"sample_cache_size": 4}]
+
+
+class TestExhaustiveOnIncrementalEvaluators:
+    """An incremental evaluator's ``t`` is fresh solves', and computing it changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.api.specs import InstanceSpec
+
+        return InstanceSpec(cipher="geffe-tiny", seed=1).build()
+
+    @pytest.mark.parametrize("cache", CACHES, ids=["default", "off", "evicting"])
+    def test_exhaustive_value_equals_the_fresh_evaluators(self, instance, cache):
+        start = instance.start_set
+        totals = []
+        for incremental in (True, False):
+            evaluator = PredictiveFunction(
+                instance.cnf, sample_size=20, seed=3, incremental=incremental, **cache
+            )
+            evaluator.evaluate(start[:3])
+            evaluator.evaluate(start[2:6])
+            totals.append(evaluator.exhaustive_value(start[2:6]))
+        assert totals[0] == totals[1]
+        assert totals[0][0] == 593.0
+
+    @pytest.mark.parametrize("cache", CACHES, ids=["default", "off", "evicting"])
+    def test_exhaustive_value_leaves_later_evaluations_alone(self, instance, cache):
+        start = instance.start_set
+        results = []
+        for exhaustive_between in (True, False):
+            evaluator = PredictiveFunction(
+                instance.cnf, sample_size=20, seed=3, incremental=True, **cache
+            )
+            evaluator.evaluate(start[:3])
+            if exhaustive_between:
+                evaluator.exhaustive_value(start[2:6])
+            result = evaluator.evaluate(start[2:6])
+            results.append(
+                (result.value, [(o.status, o.cost, o.cached) for o in result.observations])
+            )
+        assert results[0] == results[1]

@@ -3,11 +3,13 @@
 Every runner path — the four execution backends and scheduled estimation on
 any executor — runs one kernel on per-run worker state.  The race tests below
 pin what that buys: a process pool that degraded to threads, and two runs
-sharing one process, each return exactly the serial results.  On the serial
-backend and the process pool a family travels in ``solve_batch`` chunks; the
-tests below pin both to a fresh solve of every row, check that either
+sharing one process, each return exactly the serial results.  Every backend
+solves a family in chunks, one ``solve_batch`` call each where the solver
+can batch; the tests below pin every backend to a fresh solve of every row,
+check that each saves a chunk's rows before it reports them, that either
 backend resumes the other's checkpoints, that slow rows keep the serial
-backend's chunks to one row, and that no pool run leaves a process behind.
+backend's and the pool's chunks to one row, and that no pool run leaves a
+process behind.
 """
 
 from __future__ import annotations
@@ -167,17 +169,20 @@ def no_process_pool(monkeypatch):
 
 @pytest.fixture
 def untimed_chunks(monkeypatch):
-    """Let no inline chunk overrun its time, so serial chunks hold 1, 2, 4, …, 64 rows."""
+    """Let no chunk overrun its time, so chunks hold 1, 2, 4, …, 64 rows as cut."""
     import repro.api.backends as backends
 
-    monkeypatch.setattr(backends, "_INLINE_CHUNK_SECONDS", 1e9)
+    monkeypatch.setattr(backends, "_CHUNK_SECONDS", 1e9)
 
 
-def _fresh_answers(instance, vectors, budget=None, stop_on_sat=False) -> list[tuple]:
-    """The oracle: one fresh ``CDCLSolver().solve(cnf, row)`` per row."""
+def _fresh_answers(
+    instance, vectors, budget=None, stop_on_sat=False, solver: SolverSpec | None = None
+) -> list[tuple]:
+    """The oracle: one fresh ``solve(cnf, row)`` per row, on a new solver each."""
     answers = []
     for row in vectors:
-        result = CDCLSolver().solve(instance.cnf, assumptions=list(row), budget=budget)
+        fresh = (solver or SolverSpec()).build()
+        result = fresh.solve(instance.cnf, assumptions=list(row), budget=budget)
         answers.append(
             (result.status, result.stats.cost("propagations"),
              result.model if result.is_sat else None)
@@ -192,8 +197,9 @@ class TestChunkedFamily:
 
     @pytest.fixture(scope="class")
     def family(self):
-        # 128 rows: inline chunks of 1, 2, 4, ..., 64 rows and then the last
-        # row, and chunks of 16 on 2 processes, so each worker takes several.
+        # 128 rows: untimed serial chunks of 1, 2, 4, ..., 64 rows and then
+        # the last row; on 2 processes each worker first takes one row, and
+        # then chunks of 2, 4, ..., 64 rows, so each worker takes several.
         return _family("bivium-tiny", seed=5, width=7, known_bits=8)
 
     @pytest.mark.parametrize(
@@ -260,6 +266,26 @@ class TestChunkedFamily:
         assert run.metadata["dispatches"] == 4
         assert _answers(run) == _fresh_answers(instance, vectors[:4])
 
+    def test_slow_rows_keep_pool_chunks_to_one_row(self, slow_rows):
+        # Each of the 2 workers first takes one row, and no chunk's pace
+        # fits a second 0.15 s row into 0.25 s, so every chunk holds one
+        # row: stopped at its 3rd progress event, the run has saved at most
+        # 3 rows.  (Forked workers cannot append to ``slow_rows``, so the
+        # snapshots tell how far the run got.)
+        instance, vectors = _family("geffe-tiny", seed=1, width=6)
+        snapshots: list[SchedulerCheckpoint] = []
+
+        def progress(done, total):
+            if done == 3:
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            ProcessPoolBackend(processes=2).run(
+                instance.cnf, vectors, solver=SolverSpec(name="slow-rows"),
+                progress=progress, checkpoint_sink=snapshots.append,
+            )
+        assert 1 <= len(snapshots[-1]) <= 3
+
 
 class _Stop(Exception):
     """Raised by a progress callback to stop a run part-way."""
@@ -310,22 +336,101 @@ class TestCheckpointsAcrossBackends:
         assert events == list(range(1, len(vectors) + 1))
         assert _answers(resumed) == expected
 
-    @pytest.mark.parametrize(
-        ("every", "sizes"),
-        # Chunks of 16 rows: the sink fires on each chunk that crosses a
-        # multiple of ``every``, and at the end unless that already happened.
-        [(1, [16 * k for k in range(1, 9)]), (40, [48, 80, 128]), (50, [64, 112, 128])],
-    )
-    def test_pool_sink_fires_per_crossed_multiple_of_checkpoint_every(
-        self, family, every, sizes
-    ):
+    @pytest.mark.parametrize("every", [1, 40, 50])
+    def test_pool_sink_fires_per_crossed_multiple_of_checkpoint_every(self, family, every):
+        # The pool's chunks follow the measured pace, so their sizes vary
+        # from run to run; the rule does not.  The sink fires on each chunk
+        # that crosses a multiple of ``every``, before that chunk's progress
+        # events, and at the end unless that already happened.
         instance, vectors, _ = family
         snapshots: list[SchedulerCheckpoint] = []
+        saved_at_event: list[tuple[int, int]] = []
         ProcessPoolBackend(processes=2).run(
             instance.cnf, vectors, checkpoint_sink=snapshots.append, checkpoint_every=every,
+            progress=lambda done, total: saved_at_event.append(
+                (done, len(snapshots[-1]) if snapshots else 0)
+            ),
         )
-        assert [len(snapshot) for snapshot in snapshots] == sizes
+        sizes = [len(snapshot) for snapshot in snapshots]
+        assert sizes == sorted(set(sizes))
+        assert all(after // every > before // every for before, after in zip([0] + sizes, sizes[:-1]))
+        assert all(saved // every >= done // every for done, saved in saved_at_event)
         assert list(snapshots[-1].results) == [f"sub-{index:06d}" for index in range(128)]
+        assert snapshots[-1].metadata["completed"] is True
+
+
+#: Every built-in backend, built fresh for each run.
+BACKENDS = {
+    "serial": SerialBackend,
+    "process-pool": lambda: ProcessPoolBackend(processes=2),
+    "simulated-cluster": lambda: SimulatedClusterBackend(cores=4),
+    "volunteer-grid": VolunteerGridBackend,
+}
+
+#: A solver that batches, one that cannot, and one whose preprocessing forbids it.
+SOLVER_SPECS = {
+    "cdcl": SolverSpec(),
+    "dpll": SolverSpec(name="dpll"),
+    "cdcl-simplify": SolverSpec(options={"simplify": True}),
+}
+
+
+class TestOneFamilyPath:
+    """Every backend and solver goes through one chunked path with one checkpoint order."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return _family("geffe-tiny", seed=1, width=6)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_SPECS))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_rows_are_saved_before_they_are_reported(self, family, backend, solver):
+        instance, vectors = family
+        snapshots: list[SchedulerCheckpoint] = []
+        early: list[int] = []
+
+        def progress(done, total):
+            if not snapshots or len(snapshots[-1]) < done:
+                early.append(done)
+
+        run = BACKENDS[backend]().run(
+            instance.cnf, vectors, solver=SOLVER_SPECS[solver], progress=progress,
+            checkpoint_sink=snapshots.append, checkpoint_every=1,
+        )
+        assert early == []
+        assert list(snapshots[-1].results) == [f"sub-{index:06d}" for index in range(64)]
+        assert snapshots[-1].metadata == {"completed": True, "tasks": 64}
+        assert _answers(run) == _fresh_answers(instance, vectors, solver=SOLVER_SPECS[solver])
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_checkpoint_every_below_one_is_refused(self, family, backend):
+        instance, vectors = family
+        with pytest.raises(ValueError, match="checkpoint_every must be at least 1"):
+            BACKENDS[backend]().run(
+                instance.cnf, vectors, checkpoint_sink=lambda snapshot: None, checkpoint_every=0,
+            )
+
+    def test_a_failed_chunk_stops_the_serial_family(self):
+        # A chunk that fails after its retries fails the run, so no chunk is
+        # cut after it: the first one-row chunk is tried three times, and the
+        # other rows are never solved.
+        from repro.api.registry import SOLVERS, register_solver
+
+        attempts: list[int] = []
+
+        @register_solver("broken-batches", description="fails every batch (tests)")
+        class BrokenBatches(CDCLSolver):
+            def solve_batch(self, assumption_rows, cnf=None, budget=None, trace=None):
+                attempts.append(len(assumption_rows))
+                raise RuntimeError("broken")
+
+        try:
+            instance, vectors = _family("geffe-tiny", seed=1, width=4)
+            with pytest.raises(RuntimeError, match=r"1 sub-problems failed .*sub-000000"):
+                SerialBackend().run(instance.cnf, vectors, solver=SolverSpec(name="broken-batches"))
+        finally:
+            SOLVERS.unregister("broken-batches")
+        assert attempts == [1, 1, 1]
 
 
 class TestDegradedPool:

@@ -263,6 +263,59 @@ class TestStopAndInterrupt:
         run.assert_invariants()
 
 
+class TestTaskSource:
+    def test_source_refills_an_idle_worker_only_once_the_queue_is_empty(self):
+        finished: list[str] = []
+        sourced = iter([Task("s0", payload=5.0), Task("s1", payload=6.0)])
+        asked_after: list[int] = []
+
+        def source():
+            asked_after.append(len(finished))
+            return next(sourced, None)
+
+        run = Scheduler(
+            _jobs([1, 2, 3]), _identity_executor(workers=2), source=source,
+            on_result=lambda task_id, value: finished.append(task_id),
+        ).run()
+        # t2 was still queued when t0 finished; the source is first asked
+        # when t1 frees its worker with nothing queued.
+        assert asked_after[0] == 2
+        assert finished == ["t0", "t1", "t2", "s0", "s1"]
+        assert run.graph_order == finished
+        assert run.values_in_order() == [1.0, 2.0, 3.0, 5.0, 6.0]
+        assert run.completed and run.metadata["dispatches"] == 5
+        run.assert_invariants()
+
+    def test_a_run_with_a_source_leaves_no_reference_cycle(self):
+        # A finished run must be freed as soon as its caller drops it: a
+        # cycle would keep every result and the executor alive until the
+        # cyclic collector ran, raising a long-lived process's peak memory.
+        import gc
+        import weakref
+
+        sourced = iter([Task("s0", payload=5.0)])
+        executor = _identity_executor(workers=2)
+        freed = weakref.ref(executor)
+        gc.disable()
+        try:
+            Scheduler(_jobs([1, 2]), executor, source=lambda: next(sourced, None)).run()
+            del executor
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "task", [Task("t0", payload=1.0), Task("new", payload=1.0, dependencies=("t0",))],
+        ids=["known-id", "with-dependencies"],
+    )
+    def test_source_task_must_be_new_and_dependency_free(self, task):
+        sourced = iter([task])
+        with pytest.raises(ValueError, match="not new and dependency-free"):
+            Scheduler(
+                _jobs([1]), InlineExecutor(lambda x: x), source=lambda: next(sourced, None)
+            ).run()
+
+
 class TestCheckpointResume:
     def test_round_trip_matches_uninterrupted_run(self, tmp_path):
         durations = [float(i % 5 + 1) for i in range(16)]

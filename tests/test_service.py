@@ -25,7 +25,14 @@ import time
 
 import pytest
 
-from repro.api import Experiment, ExperimentConfig, InstanceSpec, MinimizerSpec, SolverSpec
+from repro.api import (
+    BackendSpec,
+    Experiment,
+    ExperimentConfig,
+    InstanceSpec,
+    MinimizerSpec,
+    SolverSpec,
+)
 from repro.service import (
     JobState,
     ServiceClient,
@@ -34,6 +41,7 @@ from repro.service import (
     ServiceError,
     content_key,
 )
+from repro.runner.scheduler import SchedulerCheckpoint
 from repro.service.chaos import ChaosPolicy
 from repro.service.client import TERMINAL_STATES
 
@@ -55,12 +63,13 @@ def _solve_config(decomposition_bits: int = 8, seed: int = 1) -> dict:
     ).to_dict()
 
 
-def _slow_solve_config(decomposition_bits: int = 6) -> dict:
+def _slow_solve_config(decomposition_bits: int = 6, backend: BackendSpec | None = None) -> dict:
     """A solve job on the ``slow-rows`` solver: every sub-problem takes 0.15 s."""
     return ExperimentConfig(
         instance=InstanceSpec(cipher="geffe-tiny", seed=1),
         decomposition=tuple(range(1, decomposition_bits + 1)),
         solver=SolverSpec(name="slow-rows"),
+        backend=backend or BackendSpec(),
     ).to_dict()
 
 
@@ -244,6 +253,23 @@ class TestCancellation:
         job = client.wait(running["job_id"])
         assert job["state"] == "cancelled"
         assert at_cancel <= len(slow_rows) <= at_cancel + 1
+
+    def test_cancel_lands_within_a_row_per_worker_on_the_pool(self, daemon_factory, slow_rows):
+        # The same 64 rows on a 2-process pool: every chunk holds one row, so
+        # the cancel lands at the next row a worker finishes.  Forked workers
+        # cannot append to ``slow_rows``; the job's checkpoint, written
+        # before each chunk's progress events, tells how far it got.
+        daemon = daemon_factory(workers=1)
+        client = ServiceClient(daemon.socket_path)
+        pool = BackendSpec(name="process-pool", options={"processes": 2})
+        running = client.submit("solve", _slow_solve_config(backend=pool))
+        _wait_for_progress(client, running["job_id"])
+        path = daemon.state_dir / "checkpoints" / f"{running['key']}.ckpt"
+        at_cancel = len(SchedulerCheckpoint.load(path))
+        client.cancel(running["job_id"])
+        job = client.wait(running["job_id"])
+        assert job["state"] == "cancelled"
+        assert at_cancel <= len(SchedulerCheckpoint.load(path)) <= at_cancel + 3
 
 
 class TestConcurrentClients:

@@ -500,6 +500,27 @@ class TestDeterminismAndDiff:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert diff_traces(paths[0], paths[1]).identical
 
+    def test_identically_configured_family_solves_are_byte_identical(self, tmp_path):
+        # The perf-smoke lane's solving-mode pair: the 64-row geffe-tiny
+        # family of variables 1-6 on the simulated cluster, whose virtual
+        # clock stamps every TASK event (the serial and pool backends stamp
+        # wall-clock times).
+        from repro.api import BackendSpec, Experiment, ExperimentConfig, InstanceSpec
+
+        paths = [tmp_path / "e.trc", tmp_path / "f.trc"]
+        for path in paths:
+            config = ExperimentConfig(
+                instance=InstanceSpec(cipher="geffe-tiny", seed=1),
+                decomposition=tuple(range(1, 7)),
+                backend=BackendSpec(name="simulated-cluster", options={"cores": 4}),
+                trace=str(path),
+            )
+            Experiment.from_config(config).run()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert diff_traces(paths[0], paths[1]).identical
+        counts = _event_counts(read_trace(paths[0])[1])
+        assert counts["TASK_DISPATCH"] == counts["TASK_COMPLETE"] == 64
+
     def test_different_instances_show_a_fingerprint_delta(self, tmp_path):
         one, other = tmp_path / "one.trc", tmp_path / "two.trc"
         record_solve(random_ksat(10, 30, k=3, seed=1), one)

@@ -30,8 +30,9 @@ the work is executed and what scheduling metadata they report.
 Built-in backends (registered under :mod:`repro.api.registry`):
 
 * ``serial`` — one solver, one loop, in-process;
-* ``process-pool`` — a real ``multiprocessing`` pool (``processes`` option)
-  with crash retry;
+* ``process-pool`` — real worker processes (``processes`` option) with
+  crash retry; :meth:`ProcessPoolBackend.pool` opens them for a whole
+  facade call, whose estimating mode then solves its samples on them too;
 * ``simulated-cluster`` — scheduler-driven solving plus the makespan
   simulation of :mod:`repro.runner.cluster` (``cores`` / ``scheduler``
   options, optional ``dispatch_latency`` / ``crash_rate`` fault injection);
@@ -49,7 +50,8 @@ through this path.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -62,11 +64,13 @@ from repro.runner.pool import (
     encode_outcome,
     family_task_id,
     family_tasks,
+    process_executor,
     worker_executor,
 )
 from repro.runner.scheduler import (
     Executor,
     FailureModel,
+    ProcessExecutor,
     RetryPolicy,
     Scheduler,
     SchedulerCheckpoint,
@@ -203,12 +207,15 @@ def _run_family_scheduler(
     dispatch_latency: float = 0.0,
     failures: FailureModel | None = None,
     retry: RetryPolicy | None = None,
+    pool: ProcessExecutor | None = None,
 ) -> tuple[list[SubproblemOutcome], SchedulerRun]:
     """The shared path behind every built-in backend.
 
     One :class:`~repro.runner.pool.WorkerState` for this run, the
     ``executor`` built around it by :func:`~repro.runner.pool.worker_executor`,
     and one scheduler pass over the family's chunks (:func:`_solve_in_chunks`).
+    An open ``pool`` whose state serves this run is used instead of building
+    one; the scheduler closes it once the family is done.
     """
     graph = family_tasks(assumption_vectors)
     if checkpoint is not None:
@@ -216,7 +223,16 @@ def _run_family_scheduler(
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     spec = solver or SolverSpec()
-    state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
+    if pool is not None and not pool.closed and pool.task_fn.serves(
+        cnf, spec.name, spec.options, cost_measure, budget
+    ):
+        executors = nullcontext(pool)
+    else:
+        state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
+        executors = worker_executor(
+            executor, state, workers=workers, dispatch_latency=dispatch_latency,
+            failures=failures,
+        )
     total = len(graph)
     completed = {"count": 0}
 
@@ -230,10 +246,7 @@ def _run_family_scheduler(
     # executors, stopping at the first SAT *completion* could leave earlier
     # sub-problems unresolved and silently punch holes in the reported
     # prefix.  Everyone else solves the whole family and truncates after.
-    with worker_executor(
-        executor, state, workers=workers, dispatch_latency=dispatch_latency,
-        failures=failures,
-    ) as resolved:
+    with executors as resolved:
         solved, run = _solve_in_chunks(
             graph, resolved, retry or RetryPolicy(max_attempts=3), checkpoint,
             checkpoint_sink, checkpoint_every, advance, trace,
@@ -448,6 +461,10 @@ class ProcessPoolBackend:
     ``stop_on_sat`` is emulated by truncating the outcome list at the first
     satisfiable sub-problem, which reproduces exactly what the serial
     backend would have reported.
+
+    :meth:`pool` opens the worker processes ahead of the family, so that one
+    facade call runs both PDSAT modes on one pool: the estimating mode's
+    samples, then the family, which closes the pool when it is done.
     """
 
     name = "process-pool"
@@ -456,6 +473,38 @@ class ProcessPoolBackend:
         if processes is not None and processes < 1:
             raise ValueError("processes must be at least 1")
         self.processes = processes
+        self._pool: ProcessExecutor | None = None
+
+    @contextmanager
+    def pool(
+        self,
+        cnf: CNF,
+        solver: SolverSpec | None = None,
+        cost_measure: str = "propagations",
+        budget: SolverBudget | None = None,
+    ) -> Iterator[ProcessExecutor | None]:
+        """This backend's worker processes for one call, open until it ends.
+
+        Yields the executor of the pool, or ``None`` when there is none to
+        open: with ``processes=1``, or for a solver that cannot solve a task's
+        rows in one ``solve_batch`` call.  While it is open, a :meth:`run`
+        with the same formula and settings solves its family on it, and the
+        family's scheduler closes it when the family is done; otherwise it
+        closes when the block ends.
+        """
+        spec = solver or SolverSpec()
+        state = None
+        if self.processes != 1:
+            state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
+        if state is None or not state.solves_in_batches:
+            yield None
+            return
+        self._pool = process_executor(state, self.processes)
+        try:
+            yield self._pool
+        finally:
+            self._pool.close()
+            self._pool = None
 
     def run(
         self,
@@ -478,11 +527,12 @@ class ProcessPoolBackend:
             for index in range(len(assumption_vectors))
             if checkpoint is None or family_task_id(index) not in checkpoint
         )
+        pooled = self.processes != 1 and pending > 1
         outcomes, run = _run_family_scheduler(
-            "serial" if self.processes == 1 or pending <= 1 else "process-pool",
+            "process-pool" if pooled else "serial",
             cnf, assumption_vectors, solver, cost_measure, budget, stop_on_sat,
             progress, checkpoint, checkpoint_sink, checkpoint_every, trace,
-            workers=self.processes,
+            workers=self.processes, pool=self._pool if pooled else None,
         )
         metadata = {"processes": self.processes}
         metadata.update(_scheduler_metadata(run))

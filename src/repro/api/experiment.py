@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.api.backends import ProcessPoolBackend
 from repro.api.registry import get_partitioner
 from repro.api.specs import ExperimentConfig, SolverSpec
 from repro.core.decomposition import DecompositionSet
@@ -200,13 +202,43 @@ class Experiment:
         if self.progress is not None:
             self.progress(ProgressEvent(phase=phase, completed=completed, total=total, message=message))
 
+    @contextmanager
+    def _backend(self, estimates: bool) -> Iterator[Any]:
+        """This call's execution backend, holding the call's process pool when it estimates.
+
+        A call that estimates on a ``process-pool`` backend with a batched
+        evaluator opens the backend's pool (:meth:`ProcessPoolBackend.pool`)
+        here, inside the call, and lends it to the evaluator: each
+        evaluation's cache misses are then solved in one share per process,
+        the leader's included.  The family runs on the same pool and closes
+        it when it is done; on any other exit the pool closes here, and the
+        evaluator solves in this process again.
+        """
+        backend = self.config.backend.build()
+        evaluator = self.pdsat.evaluator if estimates else None
+        if evaluator is None or evaluator.batch_size == 1 or not isinstance(
+            backend, ProcessPoolBackend
+        ):
+            yield backend
+            return
+        pdsat = self.pdsat
+        with backend.pool(
+            pdsat.cnf, pdsat.solver, pdsat.cost_measure, pdsat.subproblem_budget
+        ) as pool:
+            evaluator.pool = pool
+            try:
+                yield backend
+            finally:
+                evaluator.pool = None
+
     # ----------------------------------------------------------- estimating mode
     def estimate(self) -> ExperimentResult:
         """Run the estimating mode with the configured minimiser."""
         cfg = self.config
         self._emit("estimate", message=f"minimizing F with {cfg.minimizer.name}")
         started = time.perf_counter()
-        report = self._estimate_report()
+        with self._backend(estimates=True):
+            report = self._estimate_report()
         self._emit(
             "estimate",
             completed=report.minimization.num_evaluations,
@@ -282,10 +314,11 @@ class Experiment:
         estimation: EstimationReport | None = None
         if decomposition is None:
             decomposition = self.config.decomposition
-        if decomposition is None:
-            estimation = self._estimate_report()
-            decomposition = self._truncated(estimation.best_decomposition)
-        solve_data, status, summary = self._solve_family(list(decomposition))
+        with self._backend(estimates=decomposition is None) as backend:
+            if decomposition is None:
+                estimation = self._estimate_report()
+                decomposition = self._truncated(estimation.best_decomposition)
+            solve_data, status, summary = self._solve_family(list(decomposition), backend)
         if estimation is not None:
             solve_data["estimate"] = self._estimation_data(estimation)
         return ExperimentResult(
@@ -301,14 +334,15 @@ class Experiment:
         """Estimate-then-solve end to end (the ``repro-sat run`` flow)."""
         cfg = self.config
         started = time.perf_counter()
-        if cfg.decomposition is not None:
-            estimation = None
-            decomposition = list(cfg.decomposition)
-        else:
-            estimation = self._estimate_report()
-            self._emit("estimate", message=estimation.summary())
-            decomposition = self._truncated(estimation.best_decomposition)
-        solve_data, status, summary = self._solve_family(decomposition)
+        with self._backend(estimates=cfg.decomposition is None) as backend:
+            if cfg.decomposition is not None:
+                estimation = None
+                decomposition = list(cfg.decomposition)
+            else:
+                estimation = self._estimate_report()
+                self._emit("estimate", message=estimation.summary())
+                decomposition = self._truncated(estimation.best_decomposition)
+            solve_data, status, summary = self._solve_family(decomposition, backend)
         data: dict[str, Any] = {
             "estimate": self._estimation_data(estimation) if estimation is not None else None,
             "solve": solve_data,
@@ -328,8 +362,10 @@ class Experiment:
             return decomposition[:size]
         return decomposition
 
-    def _solve_family(self, decomposition: list[int]) -> tuple[dict[str, Any], str, str]:
-        """Solve the family through :meth:`PDSAT.solve_family` on the configured backend,
+    def _solve_family(
+        self, decomposition: list[int], backend
+    ) -> tuple[dict[str, Any], str, str]:
+        """Solve the family through :meth:`PDSAT.solve_family` on this call's backend,
         adding the config's family-size guard, checkpoint and trace files and events."""
         cfg = self.config
         if len(decomposition) > cfg.max_family_bits:
@@ -340,7 +376,6 @@ class Experiment:
         dec = DecompositionSet.of(decomposition)
         total = dec.num_subproblems
         pdsat = self.pdsat  # the encoding (and preprocessing) precede the first event
-        backend = cfg.backend.build()
         self._emit("solve", total=total, message=f"backend {cfg.backend.name}")
         options: dict[str, Any] = {}
         resumed = 0

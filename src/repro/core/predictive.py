@@ -37,7 +37,11 @@ result from one of four row engines:
 * *batched* (``batch_size > 1``): the sample's cache misses are solved ahead
   of the walk through ``solve_batch``, ``batch_size`` rows per call, which is
   bit-identical to fresh scalar solves, so every status, cost, ``cached``
-  flag and counter equals the fresh engine's;
+  flag and counter equals the fresh engine's.  While a facade call lends
+  the evaluator its run's process pool (:attr:`PredictiveFunction.pool`),
+  the misses are cut into one share per process: the leader solves one
+  share and the pool's workers the others, each returning every row's
+  status, cost, wall time and nonzero conflict activity;
 * *units* (``substitution_mode="units"``): a fresh solve of ``C ∧ units``.
 
 Three mechanisms keep that loop from re-doing work, all on by default:
@@ -96,6 +100,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.api.registry import get_cost_measure
 from repro.core.decomposition import DecompositionFamily, DecompositionSet
+from repro.runner.pool import SampledRow, sampled_row, solve_beside
 from repro.sat.assignment import Assignment
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.formula import CNF
@@ -239,6 +244,11 @@ class PredictiveFunction:
         enlarged frozen set (losing retained learned clauses —
         ``num_freeze_reloads`` counts these).  Irrelevant for solvers without
         preprocessing.
+    batch_size:
+        Rows per ``solve_batch`` call of the batched engine (1: the scalar
+        engines).  A batched evaluator solves on :attr:`pool` while one is
+        lent to it; the walk, the sample cache, the fold and the counters
+        stay in this process either way, so every result is the same.
     """
 
     def __init__(
@@ -342,6 +352,12 @@ class PredictiveFunction:
         self.num_subproblem_solves = 0
         #: Actual solver invocations (sample-cache misses only).
         self.num_solver_calls = 0
+        #: The run's process pool (a :class:`~repro.runner.scheduler.ProcessExecutor`
+        #: running a batched :class:`~repro.runner.pool.WorkerState` of this
+        #: formula, solver, cost measure and budget) while a facade call holds
+        #: it open.  The batched engine then solves one share of each
+        #: sample's misses here and the others on the pool's workers.
+        self.pool = None
 
     # ------------------------------------------------------------------ evaluate
     def evaluate(self, decomposition: DecompositionSet | Iterable[int]) -> PredictionResult:
@@ -442,18 +458,17 @@ class PredictiveFunction:
                 solved.append((replace(observation, cached=True), sub_activity))
                 continue
             self.num_solver_calls += 1
-            result = ahead.pop(index) if index in ahead else self._solve_row(key, assignment, dec)
+            status, cost, wall_time, sub_activity = (
+                ahead.pop(index)
+                if index in ahead
+                else sampled_row(self._solve_row(key, assignment, dec), self.cost_measure)
+            )
             observation = SampleObservation(
                 assignment_bits=assignment.bits_for(list(dec.variables)),
-                cost=result.stats.cost(self.cost_measure),
-                status=result.status,
-                wall_time=result.stats.wall_time,
+                cost=cost,
+                status=status,
+                wall_time=wall_time,
             )
-            # Keep only nonzero bumps: a dense per-variable dict retained per
-            # cache entry would dominate the cache's memory.
-            sub_activity = {
-                var: act for var, act in result.conflict_activity.items() if act > 0.0
-            }
             if self.sample_cache_size:
                 self._sample_cache[key] = (observation, sub_activity)
                 if len(self._sample_cache) > self.sample_cache_size:
@@ -461,14 +476,21 @@ class PredictiveFunction:
             solved.append((observation, sub_activity))
         return solved
 
-    def _solve_ahead(self, keys: list[tuple[int, ...]]) -> dict[int, SolveResult]:
+    def _solve_ahead(self, keys: list[tuple[int, ...]]) -> dict[int, SampledRow]:
         """The batched engine: solve the sample's cache misses up front.
 
-        Results by sample position, from ``solve_batch`` calls of
-        ``batch_size`` rows.  A row cached before the sample or repeated in
-        it is left to the loop; no other row can be cached when the loop
-        reaches it, so hits and counters match the scalar loop's.  With the
-        cache off every row is solved, repeats included.
+        Each row's status, cost, wall time and activity, by sample position.
+        A row cached before the sample or repeated in it is left to the loop;
+        no other row can be cached when the loop reaches it, so hits and
+        counters match the scalar loop's.  With the cache off every row is
+        solved, repeats included.  The rows
+        are cut into one share per solver: without an open :attr:`pool` the
+        leader alone, with one the leader and all but one of the pool's
+        workers, so that no more processes solve at once than the pool has.
+        The leader solves its share with ``solve_batch`` calls of
+        ``batch_size`` rows, and each worker its share with one call;
+        ``solve_batch`` is bit-identical to fresh solves however the rows
+        are cut, so every row's record is the same.
         """
         planned: list[int] = []
         seen: set[tuple[int, ...]] = set()
@@ -478,17 +500,28 @@ class PredictiveFunction:
                     continue
                 seen.add(key)
             planned.append(index)
+        rows = [keys[index] for index in planned]
+        pool = self.pool if self.pool is not None and not self.pool.closed else None
+        solvers = min(len(rows), pool.num_workers) if pool is not None else 1
+        if solvers < 2:
+            return dict(zip(planned, self._solve_batches(rows)))
+        size, extra = divmod(len(rows), solvers)
+        cuts = [index * size + min(index, extra) for index in range(solvers + 1)]
+        shares = [rows[begin:end] for begin, end in zip(cuts, cuts[1:])]
+        mine, theirs = solve_beside(pool, shares[1:], lambda: self._solve_batches(shares[0]))
+        return dict(zip(planned, mine + [record for share in theirs for record in share]))
+
+    def _solve_batches(self, rows: list[tuple[int, ...]]) -> list[SampledRow]:
+        """``rows`` solved here by ``solve_batch`` calls of ``batch_size`` rows each."""
         if self.solver.loaded_cnf is not self.cnf:
             self.solver.load(self.cnf)
-        results: list[SolveResult] = []
-        for begin in range(0, len(planned), self.batch_size):
-            results.extend(
-                self.solver.solve_batch(
-                    [keys[index] for index in planned[begin : begin + self.batch_size]],
-                    budget=self.subproblem_budget,
-                )
+        records: list[SampledRow] = []
+        for begin in range(0, len(rows), self.batch_size):
+            results = self.solver.solve_batch(
+                rows[begin : begin + self.batch_size], budget=self.subproblem_budget
             )
-        return dict(zip(planned, results))
+            records.extend(sampled_row(result, self.cost_measure) for result in results)
+        return records
 
     def _solve_row(
         self, literals: tuple[int, ...], assignment: Assignment, dec: DecompositionSet

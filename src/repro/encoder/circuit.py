@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Signal = int
 

@@ -15,10 +15,14 @@ decomposition family in solving mode.  That one job is written once here:
   and otherwise row by row, each by a fresh ``solve(cnf, row)``; an
   unbatched state's tasks carry one row, solved fresh.
 * :func:`worker_executor` is the one executor factory: serial (inline),
-  thread, real process pool or simulated virtual-clock cluster, each running
-  the same kernel.  Scheduled estimation
-  (:mod:`repro.runner.estimation`) and every execution backend
+  thread, real process pool (:func:`process_executor`) or simulated
+  virtual-clock cluster, each running the same kernel.  Scheduled
+  estimation (:mod:`repro.runner.estimation`) and every execution backend
   (:mod:`repro.api.backends`) build their executors through it.
+* :func:`solve_beside` is the estimating mode's dispatch onto a run's
+  process pool: the workers solve their shares of a sample, as
+  :class:`SampleRows` tasks answered with :data:`SampledRow` records, while
+  the leader solves its own share.
 
 Because the state belongs to one run, concurrent runs in one process — two
 daemon workers, or a process pool that degraded to threads — never share a
@@ -32,13 +36,14 @@ from __future__ import annotations
 import os
 import threading
 import uuid
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.api.registry import get_solver
 from repro.runner.scheduler import (
+    OUTCOME_SUCCESS,
     Executor,
     FailureModel,
     InlineExecutor,
@@ -50,7 +55,9 @@ from repro.runner.scheduler import (
 )
 from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
-from repro.sat.solver import SolverBudget, SolverStatus
+from repro.sat.solver import SolveResult, SolverBudget, SolverStatus
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -62,6 +69,34 @@ class SubproblemOutcome:
     cost: float
     wall_time: float
     model: dict[int, bool] | None = None
+
+
+#: What the estimating mode keeps of a sampled row's solve: its status, cost,
+#: wall time and nonzero conflict activity.
+SampledRow = tuple[SolverStatus, float, float, dict[int, float]]
+
+
+def sampled_row(result: SolveResult, cost_measure: str) -> SampledRow:
+    """The :data:`SampledRow` of one solve result."""
+    return (
+        result.status,
+        result.stats.cost(cost_measure),
+        result.stats.wall_time,
+        # Only nonzero bumps: a dense per-variable dict would dominate the
+        # memory of the evaluator's sample cache.
+        {var: act for var, act in result.conflict_activity.items() if act > 0.0},
+    )
+
+
+class SampleRows(tuple):
+    """A batched task's rows drawn by the estimating mode's sample.
+
+    The kernel answers them with :data:`SampledRow` records instead of
+    :class:`SubproblemOutcome` ones: the tabu search's restart heuristic
+    reads each row's conflict activity, and no sample needs a model.
+    """
+
+    __slots__ = ()
 
 
 def encode_outcome(outcome: SubproblemOutcome) -> dict[str, Any]:
@@ -143,7 +178,8 @@ class WorkerState:
         """The row-solving kernel: solve one task's rows against the formula.
 
         A batched task's payload is a tuple of rows and its value the list of
-        their outcomes in row order; any other task's payload is one row and
+        their outcomes in row order — :data:`SampledRow` records for
+        :class:`SampleRows` — and any other task's payload is one row and
         its value that row's outcome.  Models are kept for SAT rows.
         """
         solver = self._thread_solver()
@@ -158,6 +194,8 @@ class WorkerState:
                 solver.solve(self.formula, assumptions=list(row), budget=self.budget)
                 for row in rows
             ]
+        if isinstance(payload, SampleRows):
+            return [sampled_row(result, self.cost_measure) for result in results]
         outcomes = [
             SubproblemOutcome(
                 assumptions=row,
@@ -169,6 +207,19 @@ class WorkerState:
             for row, result in zip(rows, results)
         ]
         return outcomes if self.batched else outcomes[0]
+
+    def serves(
+        self, formula: CNF, solver: str, solver_options: Mapping[str, object],
+        cost_measure: str, budget: SolverBudget | None,
+    ) -> bool:
+        """Whether this state solves rows of ``formula`` exactly as these settings would."""
+        return (
+            self.formula is formula
+            and self.solver == solver
+            and self.options == dict(solver_options)
+            and self.cost_measure == cost_measure
+            and self.budget == budget
+        )
 
     def _thread_solver(self):
         """This thread's solver, loaded with the formula once if it solves in batches.
@@ -224,13 +275,7 @@ def worker_executor(
     * ``"serial"`` — attempts run inline, in the calling thread;
     * ``"thread"`` — on ``workers`` threads (default 4);
     * ``"process-pool"`` — on ``workers`` worker processes (default: every
-      core).  The state travels once per worker through the pool
-      initializer.  A state that solves in batches on the arena engine ships
-      its formula as the words of a frozen
-      :class:`~repro.sat.cdcl.image.ArenaImage` instead of the CNF: forked
-      workers inherit the initializer's arguments without pickling them, and
-      each thread's solver rebuilds its clause database from the image
-      without re-normalising a clause;
+      core), built by :func:`process_executor`;
     * ``"simulated-cluster"`` — on ``workers`` virtual cores (default 8) of a
       :class:`~repro.runner.scheduler.SimulatedGridExecutor`, where a task
       occupies its core for its rows' summed cost, plus ``dispatch_latency``
@@ -255,24 +300,84 @@ def worker_executor(
             failures=failures,
         )
     elif name == "process-pool":
-        import multiprocessing
-
-        formula = state.formula
-        if state.solves_in_batches and state.solver == "cdcl":
-            from repro.sat.cdcl.config import CDCLConfig
-
-            formula = ArenaImage.freeze(formula, CDCLConfig(**state.options))
-        yield ProcessExecutor(
-            task_fn=state,
-            num_workers=workers or multiprocessing.cpu_count(),
-            initializer=_install_state,
-            initargs=(
-                os.getpid(), state.token, formula, state.solver, state.options,
-                state.cost_measure, state.budget, state.batched,
-            ),
-        )
+        yield process_executor(state, workers)
     else:
         raise ValueError(f"unknown executor {name!r}")
+
+
+def process_executor(state: WorkerState, workers: int | None = None) -> ProcessExecutor:
+    """``workers`` worker processes (default: every core) running ``state``'s kernel.
+
+    The state travels once per worker through the initializer.  A state
+    that solves in batches on the arena engine ships its formula as the words
+    of a frozen :class:`~repro.sat.cdcl.image.ArenaImage` instead of the
+    CNF: forked workers inherit the initializer's arguments without pickling
+    them, and each thread's solver rebuilds its clause database from the
+    image without re-normalising a clause.
+    """
+    import multiprocessing
+
+    formula = state.formula
+    if state.solves_in_batches and state.solver == "cdcl":
+        from repro.sat.cdcl.config import CDCLConfig
+
+        formula = ArenaImage.freeze(formula, CDCLConfig(**state.options))
+    return ProcessExecutor(
+        task_fn=state,
+        num_workers=workers or multiprocessing.cpu_count(),
+        initializer=_install_state,
+        initargs=(
+            os.getpid(), state.token, formula, state.solver, state.options,
+            state.cost_measure, state.budget, state.batched,
+        ),
+    )
+
+
+#: Attempts one worker's share of a sample gets before the evaluation fails.
+_SHARE_ATTEMPTS = 3
+
+
+def solve_beside(
+    executor: Executor, shares: Sequence[Sequence[tuple[int, ...]]], leader: Callable[[], T]
+) -> tuple[T, list[list[SampledRow]]]:
+    """Solve ``shares[i]`` on worker ``i`` of ``executor`` while ``leader()`` runs here.
+
+    The estimating mode's dispatch: every share goes out as one
+    :class:`SampleRows` task before ``leader()`` solves the leader's own
+    share, and then the replies are read.  A share whose worker died or
+    failed is sent again, up to three attempts; a fatal error, or a share
+    out of attempts, fails the evaluation with a :class:`RuntimeError`.
+    Whatever raises closes ``executor``, so no attempt is left in flight.
+    Returns ``leader()``'s value and each share's :data:`SampledRow` records,
+    in order.
+    """
+    tasks = [
+        Task(task_id=f"share-{worker}", payload=SampleRows(rows))
+        for worker, rows in enumerate(shares)
+    ]
+    attempts = [1] * len(tasks)
+    values: dict[int, list[SampledRow]] = {}
+    try:
+        for worker, task in enumerate(tasks):
+            executor.start(task, worker)
+        mine = leader()
+        while len(values) < len(tasks):
+            for event in executor.wait():
+                worker = event.worker
+                if event.outcome == OUTCOME_SUCCESS:
+                    values[worker] = event.value
+                elif event.fatal or attempts[worker] == _SHARE_ATTEMPTS:
+                    raise RuntimeError(
+                        f"a share of the sample failed after {attempts[worker]} "
+                        f"attempts: {event.error}"
+                    )
+                else:
+                    attempts[worker] += 1
+                    executor.start(tasks[worker], worker)
+    except BaseException:
+        executor.close()
+        raise
+    return mine, [values[worker] for worker in range(len(tasks))]
 
 
 def family_task_id(index: int) -> str:

@@ -314,51 +314,92 @@ class ThreadExecutor:
         self._pool.shutdown(wait=True)
 
 
-def _run_pickled_payload(task_fn: Callable[[Any], Any], blob: bytes) -> Any:
-    """Unpickle a pre-serialized task payload in the worker and run ``task_fn``.
+def _serve(connection, leader_ends, task_fn_blob: bytes, initializer, initargs) -> None:
+    """The loop of one :class:`ProcessExecutor` worker process.
 
-    The indirection lets :class:`ProcessExecutor` serialize each payload
-    exactly once per *task* instead of once per *attempt*: retries resubmit
-    the cached byte blob (pickling ``bytes`` is a cheap passthrough), so a
-    crashing worker never re-pays the payload serialization cost.
+    Closes the leader's pipe ends it inherited, runs the initializer, then
+    answers each task blob on ``connection`` with one pickled
+    ``(outcome, value, error, fatal)`` reply until the leader sends the empty
+    stop message, closes the pipe or exits.  Interrupts are the leader's to
+    handle: it stops its workers when it stops.
     """
+    import os
     import pickle
+    import signal
 
-    return task_fn(pickle.loads(blob))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in leader_ends:
+        end.close()
+    leader = os.getppid()
+    if initializer is not None:
+        initializer(*initargs)
+    task_fn = pickle.loads(task_fn_blob)
+    while True:
+        try:
+            while not connection.poll(1.0):
+                if os.getppid() != leader:
+                    return
+            blob = connection.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if not blob:
+            return
+        try:
+            reply = pickle.dumps(
+                (OUTCOME_SUCCESS, task_fn(pickle.loads(blob)), None, False),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        except Exception as exc:  # noqa: BLE001 - reported to the leader
+            reply = pickle.dumps(
+                (OUTCOME_ERROR, None, f"{type(exc).__name__}: {exc}",
+                 isinstance(exc, (ValueError, TypeError))),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        try:
+            connection.send_bytes(reply)
+        except OSError:
+            return
 
 
 class ProcessExecutor:
     """Attempts run in real worker processes (the PDSAT computing processes).
 
-    ``task_fn`` must be picklable, and is pickled with every attempt, so it
-    should pickle small: a module-level function, or — like
-    :class:`repro.runner.pool.WorkerState` — an object that pickles as a
-    reference to a copy ``initializer(*initargs)`` installed in each worker
-    process once.  A worker process dying mid-attempt surfaces as a
-    ``crash`` completion and the pool is rebuilt, so the scheduler's retry
-    budget covers real worker loss, not only exceptions.
+    Each worker slot is one process with one duplex pipe to the leader.  The
+    leader's own thread writes a task's pickled payload to its worker's pipe
+    in :meth:`start` and reads the replies in :meth:`wait`, which blocks on
+    the pipes and process sentinels of the busy workers
+    (:func:`multiprocessing.connection.wait`), so no helper thread sits
+    between a dispatch and a worker.  A slot's process starts at its first
+    attempt and runs ``initializer(*initargs)`` once.  ``task_fn`` is
+    pickled once per process, so it should pickle small: a module-level
+    function, or — like :class:`repro.runner.pool.WorkerState` — an object
+    that pickles as a reference to the copy the initializer installed.
 
-    Payloads are pickled once per task (not per attempt) and shipped as byte
-    blobs via :func:`_run_pickled_payload`; the blob cache is dropped as soon
-    as a task completes for good (success or fatal error), so memory tracks
-    the in-flight set, not the whole graph.
+    Payloads are pickled once per task (not per attempt): the blob cache is
+    dropped as soon as a task completes for good (success or fatal error), so
+    memory tracks the in-flight set, not the whole graph.  A worker process
+    dying mid-attempt surfaces as a ``crash`` completion; the slot starts a
+    new process at its next attempt, so the scheduler's retry budget covers
+    real worker loss, not only exceptions.  :meth:`close` stops and joins
+    every worker (a busy one is terminated), and a closed executor takes no
+    more attempts.
 
-    **Degradation:** when the process pool cannot be created at all (no
-    ``fork``/semaphores in the environment) or keeps breaking
-    (``MAX_POOL_BREAKS`` consecutive rebuild-worthy crashes), the executor
-    falls back to an in-process thread pool: slower (the GIL) but it keeps
-    serving.  The threads call ``task_fn`` itself, after running the
-    initializer once in this process.  For the runner's
+    **Degradation:** when a worker process cannot be started (no
+    ``fork``/pipes in the environment) or ``MAX_POOL_BREAKS`` worker
+    processes have died, the executor stops its processes, fails their
+    attempts as crashes and falls back to an in-process thread pool: slower
+    (the GIL) but it keeps serving.  The threads call ``task_fn`` itself,
+    after running the initializer once in this process.  For the runner's
     :class:`~repro.runner.pool.WorkerState` that means this run's own
     state, with one solver per thread, so the results are identical to the
-    process pool's — and to any other run sharing the process.  The fallback
+    processes' — and to any other run sharing the process.  The fallback
     emits a ``RuntimeWarning`` and is recorded in ``degraded_reason``, which
     :meth:`Scheduler.run` copies into ``run.metadata["executor_fallback"]``
     so callers can see the run did not get real process isolation.
     """
 
     name = "process-pool"
-    #: Pool breaks tolerated before degrading to the thread fallback.
+    #: Worker deaths tolerated before degrading to the thread fallback.
     MAX_POOL_BREAKS = 3
 
     def __init__(
@@ -374,18 +415,49 @@ class ProcessExecutor:
         self.num_workers = num_workers
         self._initializer = initializer
         self._initargs = initargs
-        self._pool = None
-        self._futures: dict[Any, tuple[str, int, float]] = {}
+        self._workers: dict[int, tuple[Any, Any]] = {}  # slot -> (process, pipe)
+        self._in_flight: dict[int, tuple[str, float]] = {}  # slot -> (task, started)
         self._payload_blobs: dict[str, bytes] = {}
+        self._pending: list[Completion] = []
+        self._threads: ThreadExecutor | None = None
         self._started = time.perf_counter()
         self._pool_breaks = 0
         #: Why the executor degraded to threads (``None``: real processes).
         self.degraded_reason: str | None = None
+        #: Set by :meth:`close`; a closed executor takes no more attempts.
+        self.closed = False
 
-    def _degrade(self, reason: str):
-        """Swap in a thread pool after the process pool proved unusable."""
+    def _spawn(self, worker: int):
+        """Start the process of slot ``worker``; returns the leader's pipe end to it."""
+        import multiprocessing
+        import pickle
+
+        context = multiprocessing.get_context()
+        leader_end, worker_end = context.Pipe()
+        process = context.Process(
+            target=_serve,
+            args=(
+                worker_end,
+                [pipe for _, pipe in self._workers.values()] + [leader_end],
+                pickle.dumps(self.task_fn, protocol=pickle.HIGHEST_PROTOCOL),
+                self._initializer,
+                self._initargs,
+            ),
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            leader_end.close()
+            raise
+        finally:
+            worker_end.close()
+        self._workers[worker] = (process, leader_end)
+        return leader_end
+
+    def _degrade(self, reason: str) -> None:
+        """Stop every worker process and serve the rest of the run on threads."""
         import warnings
-        from concurrent.futures import ThreadPoolExecutor
 
         self.degraded_reason = reason
         warnings.warn(
@@ -394,88 +466,86 @@ class ProcessExecutor:
             RuntimeWarning,
             stacklevel=3,
         )
+        now = time.perf_counter()
+        for worker, (task_id, begun) in self._in_flight.items():
+            self._pending.append(
+                Completion(
+                    task_id=task_id, worker=worker, outcome=OUTCOME_CRASH,
+                    error=f"worker process stopped: {reason}",
+                    time=now - self._started, duration=now - begun,
+                )
+            )
+        self._stop_workers()
+        self._payload_blobs.clear()
         if self._initializer is not None:
             # Thread workers share this process: install the per-worker
             # state (CNF, solver) exactly once, in-process.
             self._initializer(*self._initargs)
-        self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-        return self._pool
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            if self.degraded_reason is not None:
-                return self._degrade(self.degraded_reason)
-            from concurrent.futures import ProcessPoolExecutor
-
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.num_workers,
-                    initializer=self._initializer,
-                    initargs=self._initargs,
-                )
-            except (OSError, ValueError, ImportError, NotImplementedError) as exc:
-                return self._degrade(f"cannot create process pool: {exc}")
-        return self._pool
+        self._threads = ThreadExecutor(self.task_fn, self.num_workers)
 
     def start(self, task: Task, worker: int, timeout: float | None = None) -> None:
-        """Submit the attempt to the process pool (payload pickled at most once)."""
+        """Write the attempt to ``worker``'s pipe (payload pickled at most once)."""
         import pickle
 
+        if self.closed:
+            raise RuntimeError("the executor is closed")
+        pipe = None
+        if self._threads is None:
+            entry = self._workers.get(worker)
+            try:
+                pipe = entry[1] if entry is not None else self._spawn(worker)
+            except (OSError, ValueError, ImportError, NotImplementedError) as exc:
+                self._degrade(f"cannot create process pool: {exc}")
+        if pipe is None:
+            self._threads.start(task, worker, timeout)
+            return
         blob = self._payload_blobs.get(task.task_id)
         if blob is None:
             blob = pickle.dumps(task.payload, protocol=pickle.HIGHEST_PROTOCOL)
             self._payload_blobs[task.task_id] = blob
-        future = self._ensure_pool().submit(_run_pickled_payload, self.task_fn, blob)
-        self._futures[future] = (task.task_id, worker, time.perf_counter())
+        self._in_flight[worker] = (task.task_id, time.perf_counter())
+        try:
+            pipe.send_bytes(blob)
+        except OSError:
+            pass  # the worker died: wait() reports the crash from its sentinel
 
     def wait(self) -> list[Completion]:
-        """Block for the first finished future(s); broken pools become crashes."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
+        """Block for the first reply or worker death; deaths become crashes."""
+        import pickle
+        from multiprocessing.connection import wait as wait_for
 
-        if not self._futures:
+        if self._pending:
+            events, self._pending = self._pending, []
+            return events
+        if not self._in_flight:
+            if self._threads is not None:
+                return self._threads.wait()
             raise RuntimeError("wait() called with no attempt in flight")
-        done, _ = wait(list(self._futures), return_when=FIRST_COMPLETED)
+        slots = {}
+        for worker in self._in_flight:
+            process, pipe = self._workers[worker]
+            slots[pipe] = slots[process.sentinel] = worker
+        ready = sorted({slots[handle] for handle in wait_for(list(slots))})
         events = []
         now = time.perf_counter()
-        for future in done:
-            if future not in self._futures:
-                # Already failed as a crash when an earlier future's
-                # BrokenProcessPool handler drained the whole in-flight set.
-                continue
-            task_id, worker, begun = self._futures.pop(future)
-            fatal = False
+        for worker in ready:
+            task_id, begun = self._in_flight.pop(worker)
+            process, pipe = self._workers[worker]
             try:
-                value = future.result()
-                outcome, error = OUTCOME_SUCCESS, None
-            except BrokenProcessPool as exc:
-                # The worker process died: every in-flight future is doomed,
-                # so fail them all as crashes and rebuild the pool lazily.
-                value, outcome, error = None, OUTCOME_CRASH, f"worker process died: {exc}"
-                for other in list(self._futures):
-                    other_id, other_worker, other_begun = self._futures.pop(other)
-                    events.append(
-                        Completion(
-                            task_id=other_id,
-                            worker=other_worker,
-                            outcome=OUTCOME_CRASH,
-                            error=error,
-                            time=now - self._started,
-                            duration=now - other_begun,
-                        )
-                    )
-                self._pool.shutdown(wait=False)
-                self._pool = None
-                self._pool_breaks += 1
-                if self._pool_breaks >= self.MAX_POOL_BREAKS:
-                    # The pool keeps dying (fork bombs out, shm exhausted...):
-                    # stop rebuilding and finish the run on threads.
-                    self._degrade(
-                        f"{self._pool_breaks} consecutive pool breaks, last: {exc}"
-                    )
-            except Exception as exc:  # noqa: BLE001 - retryable task error
-                value, outcome, error = None, OUTCOME_ERROR, f"{type(exc).__name__}: {exc}"
-                fatal = isinstance(exc, (ValueError, TypeError))
+                # Only the sentinel fired when nothing is readable: the process is gone.
+                reply = pipe.recv_bytes() if pipe.poll() else None
+            except (EOFError, OSError):
+                reply = None
+            if reply is None:
+                outcome, value, fatal = OUTCOME_CRASH, None, False
+                error = f"worker process died (exit code {process.exitcode})"
+                self._bury(worker)
+            else:
+                try:
+                    outcome, value, error, fatal = pickle.loads(reply)
+                except Exception as exc:  # noqa: BLE001 - a reply the leader cannot read
+                    outcome, value, fatal = OUTCOME_ERROR, None, False
+                    error = f"{type(exc).__name__}: {exc}"
             if outcome == OUTCOME_SUCCESS or fatal:
                 # The task will never be resubmitted: drop its cached payload.
                 self._payload_blobs.pop(task_id, None)
@@ -491,14 +561,51 @@ class ProcessExecutor:
                     fatal=fatal,
                 )
             )
+        if self._pool_breaks >= self.MAX_POOL_BREAKS and self._threads is None:
+            # Workers keep dying (fork bombs out, memory runs short...):
+            # stop starting processes and finish the run on threads.
+            self._degrade(f"{self._pool_breaks} worker processes died, last: {events[-1].error}")
+            events += self._pending
+            self._pending = []
         return events
 
+    def _bury(self, worker: int) -> None:
+        """Reap slot ``worker``'s dead process; its next attempt starts a new one."""
+        process, pipe = self._workers.pop(worker)
+        process.join(1.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+        pipe.close()
+        self._pool_breaks += 1
+
+    def _stop_workers(self) -> None:
+        """Stop and join every worker process: idle ones by message, busy ones by signal."""
+        for worker, (process, pipe) in self._workers.items():
+            if worker in self._in_flight:
+                process.terminate()
+            else:
+                try:
+                    pipe.send_bytes(b"")
+                except OSError:
+                    pass
+        for process, pipe in self._workers.values():
+            process.join(5.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            pipe.close()
+        self._workers.clear()
+        self._in_flight.clear()
+
     def close(self) -> None:
-        """Shut the process pool down."""
+        """Stop and join every worker; the executor takes no more attempts."""
+        self.closed = True
         self._payload_blobs.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pending.clear()
+        self._stop_workers()
+        if self._threads is not None:
+            self._threads.close()
 
 
 # ------------------------------------------------------- simulated execution

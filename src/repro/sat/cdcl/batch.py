@@ -47,7 +47,6 @@ trace event counts.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 from repro.sat.solver import SolveResult, SolverStats, SolverStatus
 

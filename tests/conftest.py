@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -71,3 +72,23 @@ def slow_rows():
     register_solver("slow-rows", description="CDCL with slow batched rows (tests)")(SlowRows)
     yield solved
     SOLVERS.unregister("slow-rows")
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Make every worker process unstartable, so ``ProcessExecutor`` degrades to threads.
+
+    A short interpreter switch interval makes those threads interleave often.
+    """
+    from repro.runner.scheduler import ProcessExecutor
+
+    def refuse(*args, **kwargs):
+        raise OSError("process pools are disabled in this test")
+
+    monkeypatch.setattr(ProcessExecutor, "_spawn", refuse)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sat.dpll import DPLLSolver
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import pigeonhole, planted_ksat, random_ksat

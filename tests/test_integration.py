@@ -20,7 +20,6 @@ from repro.core.optimizer import StoppingCriteria
 from repro.core.pdsat import PDSAT
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_instance_series, make_inversion_instance
-from repro.runner.cluster import simulate_makespan
 
 
 class TestPredictionAccuracy:

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.stats.montecarlo import (
-    MonteCarloEstimate,
     confidence_interval,
     estimate_mean,
     normal_cdf,

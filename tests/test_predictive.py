@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.ciphers import Geffe
-from repro.core.decomposition import DecompositionSet
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
-from repro.sat.cdcl import CDCLSolver
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import random_ksat
 from repro.sat.solver import SolverBudget, SolverStatus

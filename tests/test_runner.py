@@ -148,26 +148,6 @@ def _answers(run) -> list[tuple]:
 
 
 @pytest.fixture
-def no_process_pool(monkeypatch):
-    """Make every process pool unbuildable, so ``ProcessExecutor`` degrades to threads.
-
-    A short interpreter switch interval makes those threads interleave often.
-    """
-    import concurrent.futures
-
-    def refuse(*args, **kwargs):
-        raise OSError("process pools are disabled in this test")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.fixture
 def untimed_chunks(monkeypatch):
     """Let no chunk overrun its time, so chunks hold 1, 2, 4, …, 64 rows as cut."""
     import repro.api.backends as backends
@@ -653,9 +633,11 @@ def _session_processes(session: int, exclude: int = 0) -> list[str]:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_pool_runs_leave_no_process_behind():
-    """A family and a batched estimation on the pool leave nothing running.
+    """Pool runs leave nothing running.
 
-    The runs happen in a fresh interpreter leading its own session.  It lists
+    A family, a batched scheduled estimation, an ``Experiment.run()`` that
+    estimates on its pool, and one stopped mid-estimation by its progress
+    callback.  The runs happen in a fresh interpreter leading its own session.  It lists
     the other live processes of its session just before it exits, and the
     test scans the session again as soon as it has exited: a process in either
     list outlived the runs.  The first list catches what exits only with the
@@ -680,6 +662,35 @@ def test_pool_runs_leave_no_process_behind():
             instance.cnf, variables, sample_size=16, seed=3,
             executor="process-pool", processes=2, batch_size=4,
         )
+
+        from repro.api import Experiment, ExperimentConfig
+        from repro.api.specs import (
+            BackendSpec, EstimatorSpec, MinimizerSpec, PreprocessorSpec,
+        )
+
+        config = ExperimentConfig(
+            instance=InstanceSpec(cipher="bivium-tiny", seed=5, known_bits=8),
+            minimizer=MinimizerSpec(max_evaluations=6),
+            estimator=EstimatorSpec(sample_size=16, batch_size=4),
+            preprocessor=PreprocessorSpec(name="satelite"),
+            backend=BackendSpec(name="process-pool", options={"processes": 2}),
+            decomposition_size=6,
+        )
+        Experiment(config).run()
+
+        class Stop(Exception):
+            pass
+
+        def stop(event):
+            if event.phase == "estimate" and event.completed == 2:
+                raise Stop()
+
+        try:
+            Experiment(config, progress=stop).run()
+        except Stop:
+            pass
+        else:
+            raise AssertionError("the run was not stopped mid-estimation")
         print(json.dumps(_session_processes(os.getsid(0), exclude=os.getpid())))
         """
     )

@@ -759,14 +759,12 @@ class TestExecutorDegradation:
     """The process executor falls back to threads instead of failing the run."""
 
     def test_unbuildable_pool_degrades_to_threads(self, monkeypatch):
-        import concurrent.futures
-
         from repro.runner.scheduler import ProcessExecutor
 
         def no_pool(*args, **kwargs):
             raise OSError("fork unavailable in this environment")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ProcessExecutor, "_spawn", no_pool)
         tasks = [Task(task_id=f"t{i}", payload=i) for i in range(4)]
         executor = ProcessExecutor(task_fn=_double, num_workers=2)
         try:
@@ -781,13 +779,11 @@ class TestExecutorDegradation:
         assert run.metadata["executor_fallback"] == executor.degraded_reason
 
     def test_degradation_runs_the_initializer_once_in_process(self, monkeypatch):
-        import concurrent.futures
-
         from repro.runner.scheduler import ProcessExecutor
 
         monkeypatch.setattr(
-            concurrent.futures,
-            "ProcessPoolExecutor",
+            ProcessExecutor,
+            "_spawn",
             lambda *a, **k: (_ for _ in ()).throw(OSError("no fork")),
         )
         calls = []

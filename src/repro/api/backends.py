@@ -228,7 +228,7 @@ def _run_family_scheduler(
     ):
         executors = nullcontext(pool)
     else:
-        state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
+        state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget)
         executors = worker_executor(
             executor, state, workers=workers, dispatch_latency=dispatch_latency,
             failures=failures,
@@ -382,15 +382,17 @@ def _solve_in_chunks(
     return solved, run
 
 
-#: The scheduler counters every backend reports alongside its own keys.
-_SCHEDULER_COUNTERS = (
+#: What every backend reports of its scheduler run alongside its own keys:
+#: five counters and, when a process pool degraded to threads, the reason.
+_SCHEDULER_KEYS = (
     "dispatches", "retries", "crashes", "duplicates_discarded", "from_checkpoint",
+    "executor_fallback",
 )
 
 
 def _scheduler_metadata(run: SchedulerRun) -> dict[str, Any]:
-    """The scheduler counters every backend reports alongside its own keys."""
-    return {key: run.metadata[key] for key in _SCHEDULER_COUNTERS if key in run.metadata}
+    """What every backend reports of its scheduler run alongside its own keys."""
+    return {key: run.metadata[key] for key in _SCHEDULER_KEYS if key in run.metadata}
 
 
 @register_backend("serial", description="one in-process solver loop")
@@ -495,7 +497,7 @@ class ProcessPoolBackend:
         spec = solver or SolverSpec()
         state = None
         if self.processes != 1:
-            state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget, batched=True)
+            state = WorkerState(cnf, spec.name, spec.options, cost_measure, budget)
         if state is None or not state.solves_in_batches:
             yield None
             return

@@ -380,6 +380,7 @@ class Experiment:
         options: dict[str, Any] = {}
         resumed = 0
         if cfg.checkpoint_path is not None:
+            from repro.runner.pool import decode_outcome
             from repro.runner.scheduler import SchedulerCheckpoint
 
             # The fingerprint ties a checkpoint file to this exact experiment:
@@ -388,11 +389,12 @@ class Experiment:
             fingerprint = experiment_fingerprint(cfg, dec.variables)
             path = Path(cfg.checkpoint_path)
             if path.exists():
-                # A truncated/garbled file (the writer was killed mid-write)
+                # A truncated/garbled file (the writer was killed mid-write),
+                # or one holding a record that is not a sub-problem outcome,
                 # reads as "no checkpoint": it is quarantined to
                 # <name>.corrupt and the solve starts fresh.  A *valid* file
                 # from a different experiment still fails loudly below.
-                checkpoint = SchedulerCheckpoint.load_or_quarantine(path)
+                checkpoint = SchedulerCheckpoint.load_or_quarantine(path, decode_outcome)
                 if checkpoint is None:
                     self._emit(
                         "solve",

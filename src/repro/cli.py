@@ -742,7 +742,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
                 seed=args.sample_seed,
                 cores=args.cores,
                 budget=budget,
-                batch_size=args.batch_size,
             )
             print(
                 f"F = {estimation.value:.4g} over {len(variables)} variables "
@@ -1363,12 +1362,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_record.add_argument(
         "--cores", type=int, default=4, help="--mode estimate: simulated cores"
-    )
-    trace_record.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        help="--mode estimate: samples per word-parallel solve_batch task",
     )
     trace_record.set_defaults(func=_cmd_trace_record)
 

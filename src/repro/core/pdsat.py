@@ -375,42 +375,6 @@ class PDSAT:
             metadata=run.metadata,
         )
 
-    # ---------------------------------------------------- scheduled estimation
-    def estimate_samples_scheduled(
-        self,
-        decomposition: list[int] | DecompositionSet,
-        executor: str = "serial",
-        sample_size: int | None = None,
-        **scheduler_options,
-    ):
-        """One predictive-function sample through the unified scheduler.
-
-        Runs the Monte Carlo sample of ``decomposition`` on the chosen
-        scheduler executor (``"serial"``, ``"thread"``, ``"process-pool"``,
-        ``"simulated-cluster"``) with this orchestrator's solver/cost
-        configuration.  The spawn-discipline seeding makes the returned
-        :class:`~repro.runner.estimation.ScheduledEstimation` statistics
-        bit-identical across executors; extra keyword arguments (``failures``,
-        ``retry``, ``checkpoint`` …) are forwarded to
-        :func:`repro.runner.estimation.estimate_family_scheduled`.
-        """
-        from repro.runner.estimation import estimate_family_scheduled
-
-        dec = DecompositionSet.coerce(decomposition)
-        self.ensure_assumable(dec.variables)
-        return estimate_family_scheduled(
-            self.cnf,
-            list(dec.variables),
-            sample_size=sample_size or self.sample_size,
-            seed=self.seed,
-            executor=executor,
-            cost_measure=self.cost_measure,
-            solver=self.solver.name,
-            solver_options=self.solver.options,
-            budget=self.subproblem_budget,
-            **scheduler_options,
-        )
-
     # --------------------------------------------------------------- end to end
     def estimate_then_solve(
         self,

@@ -363,8 +363,6 @@ class PredictiveFunction:
     def evaluate(self, decomposition: DecompositionSet | Iterable[int]) -> PredictionResult:
         """Evaluate ``F`` at a decomposition set (memoised)."""
         dec = DecompositionSet.coerce(decomposition)
-        if dec.d == 0:
-            raise ValueError("cannot evaluate the empty decomposition set")
         key = dec.as_frozenset()
         cached = self._cache.get(key)
         if cached is not None:
@@ -384,30 +382,50 @@ class PredictiveFunction:
                 self._load_solver()
 
         start = time.perf_counter()
-        rng = random.Random((self.seed, tuple(dec.variables)).__hash__())
-        sample = dec.random_sample(self.sample_size, rng)
         observations: list[SampleObservation] = []
         activity: dict[int, float] = {}
-        running = OnlineStatistics()
-        for observation, sub_activity in self._solve_sample(sample, dec):
+        for observation, sub_activity in self._solve_sample(self.sample(dec), dec):
             observations.append(observation)
-            running.add(observation.cost)
             for var, act in sub_activity.items():
                 activity[var] = activity.get(var, 0.0) + act
                 self.accumulated_activity[var] = self.accumulated_activity.get(var, 0.0) + act
+        result = self.fold(dec, observations, activity)
+        result.wall_time = time.perf_counter() - start
+        self._cache[key] = result
+        return result
 
-        estimate = running.estimate(self.confidence_level)
-        result = PredictionResult(
-            decomposition=dec,
+    def sample(self, decomposition: DecompositionSet) -> list[Assignment]:
+        """The random sample (4) an evaluation at ``decomposition`` solves, in order.
+
+        ``N`` assignments drawn from this evaluator's seed and the set's
+        variables, so every evaluation of one point draws the same sample.
+        """
+        if decomposition.d == 0:
+            raise ValueError("cannot evaluate the empty decomposition set")
+        rng = random.Random((self.seed, tuple(decomposition.variables)).__hash__())
+        return decomposition.random_sample(self.sample_size, rng)
+
+    def fold(
+        self,
+        decomposition: DecompositionSet,
+        observations: list[SampleObservation],
+        activity: dict[int, float] | None = None,
+    ) -> PredictionResult:
+        """``F`` (5) and its confidence interval from the sample's observations.
+
+        The costs are folded in sample order, so the same observations give
+        bit-identical statistics wherever their rows were solved.
+        """
+        return PredictionResult(
+            decomposition=decomposition,
             sample_size=self.sample_size,
             cost_measure=self.cost_measure,
             observations=observations,
-            estimate=estimate,
-            wall_time=time.perf_counter() - start,
-            conflict_activity=activity,
+            estimate=OnlineStatistics.from_observations(
+                [observation.cost for observation in observations]
+            ).estimate(self.confidence_level),
+            conflict_activity=activity or {},
         )
-        self._cache[key] = result
-        return result
 
     def __call__(self, decomposition: DecompositionSet | Iterable[int]) -> float:
         """Shorthand returning just the value of ``F``."""

@@ -7,11 +7,8 @@ the thin policies that reproduce both substrates (plus a real local pool):
 * :mod:`repro.runner.scheduler` — the fault-tolerant core: task graphs,
   pluggable executors (inline / thread / process / simulated virtual-clock
   grid with latency and failure models), a shared pull queue, retry/timeout
-  budgets, replication with quorum, checkpoint/resume, and deterministic
-  serial replay of any parallel run.
-* :mod:`repro.runner.estimation` — Monte Carlo estimation on the scheduler:
-  per-sample child seeds (spawn discipline) and task-order folding make the
-  statistics bit-identical across every executor, crashes included.
+  budgets, replication with quorum, the JSON checkpoint document, and
+  deterministic serial replay of any parallel run.
 * :mod:`repro.runner.cluster` — the *simulated* cluster policy: greedy list
   scheduling of measured per-sub-problem costs on ``M`` virtual cores (how the
   "480 cores" columns of Table 3 are reproduced without 480 physical cores).
@@ -20,18 +17,13 @@ the thin policies that reproduce both substrates (plus a real local pool):
   analogue of SAT@home used to reproduce the Section 4.2 experiments.
 * :mod:`repro.runner.pool` — the one row-solving kernel every path runs:
   per-run worker state (``WorkerState``, one solver per thread) that solves a
-  task's assumption rows and returns ``SubproblemOutcome`` records, and the
-  one executor factory (``worker_executor``: inline, thread, real process
-  pool, simulated cluster) shared by scheduled estimation and every
-  execution backend.
+  task's assumption rows and returns ``SubproblemOutcome`` records, the one
+  executor factory (``worker_executor``: inline, real process pool,
+  simulated cluster) behind every execution backend, and the estimating
+  mode's dispatch of a sample's rows onto a run's pool (``solve_beside``).
 """
 
 from repro.runner.cluster import ClusterSimulation, simulate_makespan
-from repro.runner.estimation import (
-    ScheduledEstimation,
-    estimate_family_scheduled,
-    estimation_tasks,
-)
 from repro.runner.scheduler import (
     Completion,
     Executor,
@@ -60,9 +52,6 @@ from repro.runner.volunteer import (
 __all__ = [
     "ClusterSimulation",
     "simulate_makespan",
-    "ScheduledEstimation",
-    "estimate_family_scheduled",
-    "estimation_tasks",
     "Completion",
     "Executor",
     "FailureModel",

@@ -8,17 +8,15 @@ decomposition family in solving mode.  That one job is written once here:
   spec, the cost measure and the per-call budget — with one solver per
   thread.  Calling it with a task payload is the row-solving kernel: it
   solves the task's rows against the run's formula and returns
-  :class:`SubproblemOutcome` records.  A batched state's tasks carry a tuple
-  of rows — a batch of a batched estimation's sample, or a chunk of a
-  family on any backend — solved together by ``solve_batch`` on a solver
-  loaded once per thread when the solver has it and ``simplify`` is off,
-  and otherwise row by row, each by a fresh ``solve(cnf, row)``; an
-  unbatched state's tasks carry one row, solved fresh.
+  :class:`SubproblemOutcome` records.  Every task carries a tuple of rows —
+  a chunk of a family on any backend, or a worker's share of a sample —
+  solved together by ``solve_batch`` on a solver loaded once per thread
+  when the solver has it and ``simplify`` is off, and otherwise row by row,
+  each by a fresh ``solve(cnf, row)``.
 * :func:`worker_executor` is the one executor factory: serial (inline),
-  thread, real process pool (:func:`process_executor`) or simulated
-  virtual-clock cluster, each running the same kernel.  Scheduled
-  estimation (:mod:`repro.runner.estimation`) and every execution backend
-  (:mod:`repro.api.backends`) build their executors through it.
+  real process pool (:func:`process_executor`) or simulated virtual-clock
+  cluster, each running the same kernel.  Every execution backend
+  (:mod:`repro.api.backends`) builds its executor through it.
 * :func:`solve_beside` is the estimating mode's dispatch onto a run's
   process pool: the workers solve their shares of a sample, as
   :class:`SampleRows` tasks answered with :data:`SampledRow` records, while
@@ -51,7 +49,6 @@ from repro.runner.scheduler import (
     SimulatedGridExecutor,
     Task,
     TaskGraph,
-    ThreadExecutor,
 )
 from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
@@ -89,7 +86,7 @@ def sampled_row(result: SolveResult, cost_measure: str) -> SampledRow:
 
 
 class SampleRows(tuple):
-    """A batched task's rows drawn by the estimating mode's sample.
+    """A task's rows drawn by the estimating mode's sample.
 
     The kernel answers them with :data:`SampledRow` records instead of
     :class:`SubproblemOutcome` ones: the tabu search's restart heuristic
@@ -139,7 +136,7 @@ class WorkerState:
     solver rebuilds from with ``load_image`` instead of re-normalising the
     clauses.  The solver is built from the ``solver`` registry name and
     ``solver_options`` here, so an unknown name or option fails in the
-    caller, not in a worker.  ``batched`` states take tuples of rows, and
+    caller, not in a worker.  Every task is a tuple of rows, and
     :attr:`solves_in_batches` tells whether one ``solve_batch`` call solves
     each tuple: it needs a solver that has ``solve_batch`` and no per-call
     ``simplify``, whose preprocessed database would depend on each row's
@@ -157,36 +154,30 @@ class WorkerState:
         solver_options: Mapping[str, object] | None = None,
         cost_measure: str = "propagations",
         budget: SolverBudget | None = None,
-        batched: bool = False,
     ):
         self.formula = formula
         self.solver = solver
         self.options = dict(solver_options or {})
         self.cost_measure = cost_measure
         self.budget = budget
-        self.batched = batched
         self.token = uuid.uuid4().hex
         self._factory = get_solver(solver)
         probe = self._factory(**self.options)
         #: Whether a task's tuple of rows is solved by one ``solve_batch`` call.
         self.solves_in_batches = (
-            batched and hasattr(probe, "solve_batch") and not self.options.get("simplify")
+            hasattr(probe, "solve_batch") and not self.options.get("simplify")
         )
         self._local = threading.local()
 
     def __call__(self, payload):
         """The row-solving kernel: solve one task's rows against the formula.
 
-        A batched task's payload is a tuple of rows and its value the list of
-        their outcomes in row order — :data:`SampledRow` records for
-        :class:`SampleRows` — and any other task's payload is one row and
-        its value that row's outcome.  Models are kept for SAT rows.
+        A task's payload is a tuple of rows and its value the list of their
+        outcomes in row order — :data:`SampledRow` records for
+        :class:`SampleRows`.  Models are kept for SAT rows.
         """
         solver = self._thread_solver()
-        if self.batched:
-            rows = [tuple(int(lit) for lit in row) for row in payload]
-        else:
-            rows = [tuple(int(lit) for lit in payload)]
+        rows = [tuple(int(lit) for lit in row) for row in payload]
         if self.solves_in_batches:
             results = solver.solve_batch(rows, budget=self.budget)
         else:
@@ -196,7 +187,7 @@ class WorkerState:
             ]
         if isinstance(payload, SampleRows):
             return [sampled_row(result, self.cost_measure) for result in results]
-        outcomes = [
+        return [
             SubproblemOutcome(
                 assumptions=row,
                 status=result.status,
@@ -206,7 +197,6 @@ class WorkerState:
             )
             for row, result in zip(rows, results)
         ]
-        return outcomes if self.batched else outcomes[0]
 
     def serves(
         self, formula: CNF, solver: str, solver_options: Mapping[str, object],
@@ -273,7 +263,6 @@ def worker_executor(
     """The executor ``name`` running ``state``'s kernel — the one executor factory.
 
     * ``"serial"`` — attempts run inline, in the calling thread;
-    * ``"thread"`` — on ``workers`` threads (default 4);
     * ``"process-pool"`` — on ``workers`` worker processes (default: every
       core), built by :func:`process_executor`;
     * ``"simulated-cluster"`` — on ``workers`` virtual cores (default 8) of a
@@ -285,17 +274,11 @@ def worker_executor(
     """
     if name == "serial":
         yield InlineExecutor(task_fn=state)
-    elif name == "thread":
-        yield ThreadExecutor(task_fn=state, num_workers=workers or 4)
     elif name == "simulated-cluster":
         yield SimulatedGridExecutor(
             task_fn=state,
             workers=workers or 8,
-            duration_of=(
-                (lambda outcomes: sum(outcome.cost for outcome in outcomes))
-                if state.batched
-                else (lambda outcome: outcome.cost)
-            ),
+            duration_of=lambda outcomes: sum(outcome.cost for outcome in outcomes),
             dispatch_latency=dispatch_latency,
             failures=failures,
         )
@@ -328,7 +311,7 @@ def process_executor(state: WorkerState, workers: int | None = None) -> ProcessE
         initializer=_install_state,
         initargs=(
             os.getpid(), state.token, formula, state.solver, state.options,
-            state.cost_measure, state.budget, state.batched,
+            state.cost_measure, state.budget,
         ),
     )
 

@@ -24,8 +24,10 @@ Architecture
   results.
 * :class:`Scheduler` — the leader loop: one shared pull queue (PDSAT's
   dynamic work queue), per-task retry/timeout budgets (:class:`RetryPolicy`),
-  replication/quorum (the BOINC substrate), checkpoint/resume
-  (:class:`SchedulerCheckpoint`) and early stop.
+  replication/quorum (the BOINC substrate) and early stop.
+* :class:`SchedulerCheckpoint` — the JSON document of accepted results that
+  the family path of :mod:`repro.api.backends` writes as its chunks finish
+  and resumes from.
 
 Determinism contract
 --------------------
@@ -802,10 +804,12 @@ class SimulatedGridExecutor:
 class SchedulerCheckpoint:
     """A JSON-serialisable snapshot of completed task results.
 
-    ``results`` maps task id to the *encoded* task value (whatever the run's
-    ``result_encoder`` produced — JSON-plain by contract).  A checkpoint knows
-    nothing about queues or in-flight attempts: resuming re-dispatches exactly
-    the tasks that are missing, which is safe because task functions are pure.
+    ``results`` maps task id to the *encoded* task value — JSON-plain by
+    contract; the family path stores one
+    :func:`~repro.runner.pool.encode_outcome` record per sub-problem.  A
+    checkpoint knows nothing about queues or in-flight attempts: resuming
+    solves exactly the tasks that are missing, which is safe because task
+    functions are pure.
     """
 
     results: dict[str, Any] = field(default_factory=dict)
@@ -843,14 +847,17 @@ class SchedulerCheckpoint:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     @classmethod
-    def load_or_quarantine(cls, path: str | Path) -> "SchedulerCheckpoint | None":
+    def load_or_quarantine(
+        cls, path: str | Path, decode: Callable[[Any], Any] = lambda record: record
+    ) -> "SchedulerCheckpoint | None":
         """Like :meth:`load`, but a bad file reads as "no checkpoint".
 
-        ``None`` means the file is missing, truncated, garbled, or not a
-        checkpoint document at all — in the latter cases it is renamed to
-        ``<name>.corrupt`` (see :mod:`repro.resilience`) and a warning
-        logged, so the caller starts fresh instead of crashing on state a
-        killed process left half-written.
+        ``None`` means the file is missing, truncated, garbled, not a
+        checkpoint document at all, or holds a record that ``decode``
+        rejects — in the latter cases it is renamed to ``<name>.corrupt``
+        (see :mod:`repro.resilience`) and a warning logged, so the caller
+        starts fresh instead of crashing on state a killed process left
+        half-written.
         """
         from repro.resilience import load_json_or_quarantine, logger, quarantine
 
@@ -859,8 +866,11 @@ class SchedulerCheckpoint:
         if data is None:
             return None
         try:
-            return cls.from_dict(data)
-        except (ValueError, TypeError, AttributeError) as error:
+            checkpoint = cls.from_dict(data)
+            for record in checkpoint.results.values():
+                decode(record)
+            return checkpoint
+        except (ValueError, TypeError, AttributeError, KeyError) as error:
             moved = quarantine(target)
             logger.warning(
                 "invalid scheduler checkpoint at %s (%s); quarantined to %s",
@@ -881,7 +891,6 @@ class TaskRecord:
     attempts: int
     worker: int | None
     finished_at: float
-    from_checkpoint: bool = False
 
 
 @dataclass
@@ -895,8 +904,6 @@ class SchedulerRun:
     completed: bool = False
     #: True when a ``stop_on`` predicate ended dispatch early.
     stopped_early: bool = False
-    #: True when ``interrupt_after`` paused the run (resume via checkpoint).
-    interrupted: bool = False
     #: Virtual makespan for simulated executors, wall-clock seconds otherwise.
     makespan: float = 0.0
     wall_time: float = 0.0
@@ -912,21 +919,11 @@ class SchedulerRun:
         """Accepted values in task-graph order — the deterministic fold order."""
         return [self.results[tid].value for tid in self.graph_order if tid in self.results]
 
-    def checkpoint(
-        self, result_encoder: Callable[[Any], Any] | None = None
-    ) -> SchedulerCheckpoint:
-        """Snapshot the accepted results (encoded JSON-plain) for later resume."""
-        encode = result_encoder or (lambda value: value)
-        return SchedulerCheckpoint(
-            results={tid: encode(record.value) for tid, record in self.results.items()},
-            metadata={"completed": self.completed, "tasks": len(self.graph_order)},
-        )
-
     def assert_invariants(self) -> None:
         """Scheduler safety net: no lost tasks, no double-counted results.
 
         * every graph task is accounted for: accepted, failed, or explicitly
-          left behind by an early stop/interrupt;
+          left behind by an early stop;
         * no task is both accepted and failed;
         * results carry no ids outside the graph (nothing invented).
         """
@@ -938,7 +935,7 @@ class SchedulerRun:
         if accepted & failures:
             raise AssertionError("a task is both accepted and failed")
         unaccounted = ids - accepted - failures
-        if unaccounted and not (self.stopped_early or self.interrupted):
+        if unaccounted and not self.stopped_early:
             raise AssertionError(f"lost tasks: {sorted(unaccounted)[:5]}...")
         if self.completed and (failures or unaccounted):
             raise AssertionError("run marked completed with missing tasks")
@@ -946,7 +943,7 @@ class SchedulerRun:
 
 # ----------------------------------------------------------------- scheduler
 class Scheduler:
-    """The leader loop: dispatch, retry, dedupe, checkpoint.
+    """The leader loop: dispatch, retry, dedupe.
 
     Parameters
     ----------
@@ -972,19 +969,12 @@ class Scheduler:
         Dispatch every task ``replication`` times and accept it once
         ``quorum`` successful results arrived (BOINC validation).  Surplus
         deliveries are discarded — never double-counted.
-    checkpoint / result_decoder:
-        Resume from a :class:`SchedulerCheckpoint`: its tasks are completed
-        immediately (decoded by ``result_decoder``) and never dispatched.
-    checkpoint_sink / result_encoder / checkpoint_every:
-        Stream checkpoints out while running: after every
-        ``checkpoint_every``-th newly accepted result the sink receives a
-        fresh snapshot (e.g. ``lambda chk: chk.save(path)``).
     stop_on:
         Early-stop predicate ``fn(task_id, value) -> bool`` evaluated on each
         accepted result; on True, dispatch stops and in-flight work drains.
-    interrupt_after:
-        Pause after this many newly accepted results (checkpoint/resume
-        round-trip testing; the run reports ``interrupted=True``).
+    on_result:
+        Called as ``fn(task_id, value)`` with each accepted result — the
+        family path saves its checkpoints and reports progress here.
     """
 
     def __init__(
@@ -994,13 +984,7 @@ class Scheduler:
         retry: RetryPolicy | None = None,
         replication: int = 1,
         quorum: int = 1,
-        checkpoint: SchedulerCheckpoint | None = None,
-        result_decoder: Callable[[Any], Any] | None = None,
-        checkpoint_sink: Callable[[SchedulerCheckpoint], None] | None = None,
-        result_encoder: Callable[[Any], Any] | None = None,
-        checkpoint_every: int = 1,
         stop_on: Callable[[str, Any], bool] | None = None,
-        interrupt_after: int | None = None,
         on_result: Callable[[str, Any], None] | None = None,
         trace=None,
         source: Callable[[], Task | None] | None = None,
@@ -1019,15 +1003,7 @@ class Scheduler:
             raise ValueError("quorum must not exceed replication unless retries are unlimited")
         self.replication = replication
         self.quorum = quorum
-        self.checkpoint_in = checkpoint
-        self.result_decoder = result_decoder or (lambda value: value)
-        self.checkpoint_sink = checkpoint_sink
-        self.result_encoder = result_encoder
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
-        self.checkpoint_every = checkpoint_every
         self.stop_on = stop_on
-        self.interrupt_after = interrupt_after
         self.on_result = on_result
         #: Optional :class:`repro.trace.format.TraceWriter` receiving the task
         #: lifecycle (``TASK_DISPATCH`` / ``TASK_COMPLETE`` / ``TASK_RETRY``).
@@ -1059,7 +1035,7 @@ class Scheduler:
 
     # ------------------------------------------------------------------- run
     def run(self) -> SchedulerRun:
-        """Process the task graph to completion (or early stop / interrupt)."""
+        """Process the task graph to completion (or early stop)."""
         graph = self.graph
         executor = self.executor
         run = SchedulerRun(graph_order=graph.task_ids)
@@ -1075,10 +1051,9 @@ class Scheduler:
         busy: dict[int, str] = {}
         stats = {
             "dispatches": 0, "crashes": 0, "timeouts": 0, "errors": 0,
-            "retries": 0, "duplicates_discarded": 0, "from_checkpoint": 0,
+            "retries": 0, "duplicates_discarded": 0,
         }
         stop_requested = False
-        fresh_results = 0
 
         queue: deque[str] = deque()
 
@@ -1109,16 +1084,14 @@ class Scheduler:
                 if task_id not in run.results and task_id not in run.failed:
                     return task_id
 
-        def complete(task_id: str, value: Any, worker: int | None, at: float,
-                     from_checkpoint: bool = False) -> None:
-            nonlocal fresh_results, stop_requested
+        def complete(task_id: str, value: Any, worker: int | None, at: float) -> None:
+            nonlocal stop_requested
             run.results[task_id] = TaskRecord(
                 task_id=task_id,
                 value=value,
                 attempts=attempts[task_id],
                 worker=worker,
                 finished_at=at,
-                from_checkpoint=from_checkpoint,
             )
             for nxt in dependants[task_id]:
                 pending = waiting.get(nxt)
@@ -1130,48 +1103,20 @@ class Scheduler:
                             enqueue(nxt)
             if self.on_result is not None:
                 self.on_result(task_id, value)
-            if not from_checkpoint:
-                fresh_results += 1
-                if self.checkpoint_sink is not None and (
-                    fresh_results % self.checkpoint_every == 0
-                ):
-                    self.checkpoint_sink(run.checkpoint(self.result_encoder))
             if self.stop_on is not None and self.stop_on(task_id, value):
                 stop_requested = True
                 run.stopped_early = True
-            if (
-                self.interrupt_after is not None
-                and fresh_results >= self.interrupt_after
-            ):
-                stop_requested = True
-                run.interrupted = True
 
-        # Seed dependency bookkeeping, restore the checkpoint, fill the queues.
+        # Seed dependency bookkeeping and fill the queues.
         for task in graph:
             for dep in task.dependencies:
                 dependants[dep].append(task.task_id)
         for task in graph:
-            tid = task.task_id
-            if self.checkpoint_in is not None and tid in self.checkpoint_in:
-                attempts[tid] = 0
-                stats["from_checkpoint"] += 1
-                complete(
-                    tid,
-                    self.result_decoder(self.checkpoint_in.results[tid]),
-                    worker=None,
-                    at=0.0,
-                    from_checkpoint=True,
-                )
-                continue
-            unmet = {
-                dep for dep in task.dependencies
-                if dep not in run.results
-            }
-            if unmet:
-                waiting[tid] = unmet
+            if task.dependencies:
+                waiting[task.task_id] = set(task.dependencies)
             else:
                 for _ in range(self.replication):
-                    enqueue(tid)
+                    enqueue(task.task_id)
 
         # ------------------------------------------------------- leader loop
         try:
@@ -1252,8 +1197,6 @@ class Scheduler:
         if degraded:
             stats["executor_fallback"] = degraded
         run.metadata = stats
-        if self.checkpoint_sink is not None and fresh_results % self.checkpoint_every:
-            self.checkpoint_sink(run.checkpoint(self.result_encoder))
         run.assert_invariants()
         return run
 

@@ -16,8 +16,8 @@ provides the tools that make the stream useful:
 * :mod:`repro.trace.diff` — run-vs-run comparison: first divergent event plus
   summary-stat deltas.
 * :mod:`repro.trace.record` — one-call helpers that wrap ``solve`` /
-  ``simplify`` / scheduled estimation with a trace sink (the engine behind
-  ``repro-sat trace record``).
+  ``simplify`` / an evaluation's sample solved on the simulated cluster with
+  a trace sink (the engine behind ``repro-sat trace record``).
 
 Instrumentation lives in the instrumented subsystems themselves
 (:class:`repro.sat.cdcl.solver.CDCLSolver`, :class:`repro.sat.simplify.Preprocessor`,

@@ -90,49 +90,63 @@ def record_estimate(
     trace_out,
     sample_size: int = 100,
     seed: int = 0,
-    executor: str = "simulated-cluster",
     cost_measure: str = "propagations",
     solver: str = "cdcl",
     solver_options: Mapping[str, Any] | None = None,
     budget=None,
     cores: int = 8,
-    batch_size: int = 1,
 ):
-    """Run a scheduled estimation, streaming scheduler events to ``trace_out``.
+    """Solve an evaluation's sample on the simulated cluster, streaming its task events.
 
-    Returns the :class:`~repro.runner.estimation.ScheduledEstimation`.  With
-    the (default) simulated executor the completion times are virtual, so the
-    trace is a pure function of the inputs — identically-seeded runs are
-    byte-identical.  ``batch_size > 1`` routes the samples through the
-    word-parallel ``solve_batch`` engine (one task per chunk of rows); the
-    statistics — and therefore the trace — stay a pure function of the same
-    inputs plus the batch size.
+    The sample is the one :meth:`PredictiveFunction.evaluate
+    <repro.core.predictive.PredictiveFunction.evaluate>` draws at
+    ``variables`` with ``sample_size`` and ``seed``; its rows travel the
+    family path of :class:`~repro.api.backends.SimulatedClusterBackend` on
+    ``cores`` virtual cores, one row per task, and are folded in sample
+    order.  Returns the evaluator's
+    :class:`~repro.core.predictive.PredictionResult`, whose ``F`` and
+    interval equal what ``evaluate`` returns for the same settings.  The
+    completion times are virtual, so the trace is a pure function of the
+    inputs — identically-seeded runs are byte-identical.
     """
-    from repro.runner.estimation import estimate_family_scheduled
+    from repro.api.backends import SimulatedClusterBackend
+    from repro.api.specs import SolverSpec
+    from repro.core.decomposition import DecompositionSet
+    from repro.core.predictive import PredictiveFunction, SampleObservation
 
+    dec = DecompositionSet.coerce(variables)
+    evaluator = PredictiveFunction(
+        cnf, sample_size=sample_size, cost_measure=cost_measure, seed=seed
+    )
+    sample = evaluator.sample(dec)
+    options = dict(solver_options or {})
     config = {
         "variables": sorted(int(v) for v in variables),
         "sample_size": sample_size,
         "seed": seed,
-        "executor": executor,
         "cost_measure": cost_measure,
         "solver": solver,
-        "options": dict(solver_options or {}),
+        "options": options,
         "cores": cores,
-        "batch_size": batch_size,
     }
     with _open_writer(trace_out, kind="estimate", cnf=cnf, config=config) as writer:
-        return estimate_family_scheduled(
+        run = SimulatedClusterBackend(cores).run(
             cnf,
-            variables,
-            sample_size=sample_size,
-            seed=seed,
-            executor=executor,
+            [assignment.to_literals() for assignment in sample],
+            solver=SolverSpec(name=solver, options=options),
             cost_measure=cost_measure,
-            solver=solver,
-            solver_options=solver_options,
             budget=budget,
-            cores=cores,
             trace=writer,
-            batch_size=batch_size,
         )
+    return evaluator.fold(
+        dec,
+        [
+            SampleObservation(
+                assignment_bits=assignment.bits_for(list(dec.variables)),
+                cost=outcome.cost,
+                status=outcome.status,
+                wall_time=outcome.wall_time,
+            )
+            for assignment, outcome in zip(sample, run.outcomes)
+        ],
+    )

@@ -471,6 +471,28 @@ class TestCheckpointResumeFlow:
         assert resumed.data["statuses"] == full.data["statuses"]
         assert resumed.data["costs"] == full.data["costs"]
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [lambda record: {}, lambda record: 5, lambda record: {**record, "status": "MAYBE"}],
+        ids=["empty-record", "number", "unknown-status"],
+    )
+    def test_checkpoint_with_a_malformed_record_is_quarantined(self, tmp_path, malformed):
+        from repro.runner.scheduler import SchedulerCheckpoint
+
+        path = tmp_path / "solve.ckpt"
+        cfg = self._config(tmp_path, checkpoint_path=str(path))
+        first = Experiment.from_config(cfg).solve()
+        checkpoint = SchedulerCheckpoint.load(path)
+        task_id = next(iter(checkpoint.results))
+        checkpoint.results[task_id] = malformed(checkpoint.results[task_id])
+        checkpoint.save(path)
+
+        fresh = Experiment.from_config(cfg).solve()
+        assert fresh.data["resumed_subproblems"] == 0
+        assert fresh.data["costs"] == first.data["costs"]
+        assert (tmp_path / "solve.ckpt.corrupt").exists()
+        assert SchedulerCheckpoint.load(path).metadata["completed"]
+
     def test_checkpoint_path_round_trips_through_json(self):
         cfg = ExperimentConfig(checkpoint_path="solve.ckpt")
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg

@@ -310,8 +310,9 @@ class TestTraceStatsParity:
                 assert counts.get(event_name, 0) == total, (index, event_name)
 
     def test_batched_estimate_traces_are_byte_identical_across_runs(self, tmp_path):
-        # The trace-diff lane from PR 6 extends to batched runs: two
-        # identically-seeded record_estimate(batch_size=7) recordings must be
+        # The trace-diff lane covers the batched kernel: record_estimate
+        # solves each sampled row as one solve_batch task on the simulated
+        # cluster, and two identically-seeded recordings must be
         # byte-identical, and diff_traces must say so.
         from repro.trace.diff import diff_traces
         from repro.trace.record import record_estimate
@@ -320,10 +321,7 @@ class TestTraceStatsParity:
         paths = [tmp_path / "a.trace", tmp_path / "b.trace"]
         for path in paths:
             with open(path, "wb") as handle:
-                record_estimate(
-                    cnf, [1, 2, 3, 4, 5], handle,
-                    sample_size=30, seed=9, batch_size=7,
-                )
+                record_estimate(cnf, [1, 2, 3, 4, 5], handle, sample_size=30, seed=9)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         diff = diff_traces(paths[0], paths[1])
         assert diff.identical
@@ -442,24 +440,27 @@ class TestBatchedVsScalar:
             assert a.model == b.model, row
 
     def test_folded_estimator_statistics_identical_through_the_scheduler(self):
-        from repro.runner.estimation import estimate_family_scheduled
+        from repro.core.predictive import PredictiveFunction
 
         cnf = random_ksat(12, 52, k=3, seed=19)
         variables = [1, 2, 3, 4, 5, 6]
-        scalar = estimate_family_scheduled(
-            cnf, variables, sample_size=40, seed=5, batch_size=1
-        )
+
+        def evaluate(batch_size):
+            return PredictiveFunction(
+                cnf, sample_size=40, seed=5, batch_size=batch_size
+            ).evaluate(variables)
+
+        scalar = evaluate(1)
         for batch_size in (7, 64):
-            batched = estimate_family_scheduled(
-                cnf, variables, sample_size=40, seed=5, batch_size=batch_size
-            )
-            assert batched.costs == scalar.costs
-            assert batched.statuses == scalar.statuses
-            assert batched.statistics.mean == scalar.statistics.mean
-            assert (
-                batched.statistics.estimate().half_width
-                == scalar.statistics.estimate().half_width
-            )
+            batched = evaluate(batch_size)
+            assert [o.cost for o in batched.observations] == [
+                o.cost for o in scalar.observations
+            ]
+            assert [o.status for o in batched.observations] == [
+                o.status for o in scalar.observations
+            ]
+            assert batched.estimate.mean == scalar.estimate.mean
+            assert batched.estimate.half_width == scalar.estimate.half_width
 
 
 class _CheckedRestoreSolver(CDCLSolver):

@@ -114,6 +114,9 @@ class TestPoolRunEqualsSerial:
         with pytest.warns(RuntimeWarning, match="cannot create process pool") as warned:
             result = experiment.run()
         assert len(warned) == 1  # the estimation's pool is the family's
+        assert "cannot create process pool" in (
+            result.data["solve"]["backend_metadata"]["executor_fallback"]
+        )
         assert _outputs(experiment, result) == serial
         self._still_answers(experiment, serial)
 

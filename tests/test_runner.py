@@ -1,9 +1,10 @@
 """Tests for the simulated cluster, the process pool and the row-solving kernel.
 
-Every runner path — the four execution backends and scheduled estimation on
-any executor — runs one kernel on per-run worker state.  The race tests below
-pin what that buys: a process pool that degraded to threads, and two runs
-sharing one process, each return exactly the serial results.  Every backend
+Every runner path — the four execution backends, and the estimating mode's
+shares of a sample on a run's pool — runs one kernel on per-run worker state.
+The race tests below pin what that buys: a process pool that degraded to
+threads, and two runs sharing one process, each return exactly the serial
+results.  Every backend
 solves a family in chunks, one ``solve_batch`` call each where the solver
 can batch; the tests below pin every backend to a fresh solve of every row,
 check that each saves a chunk's rows before it reports them, that either
@@ -38,12 +39,11 @@ from repro.ciphers import Geffe
 from repro.core.decomposition import DecompositionSet
 from repro.problems import make_inversion_instance
 from repro.runner.cluster import simulate_makespan
-from repro.runner.estimation import estimate_family_scheduled
 from repro.runner.scheduler import SchedulerCheckpoint
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.solver import SolverBudget, SolverStatus
 
-#: Checkpoints written by the code before the row-solving kernel existed.
+#: A family checkpoint written by the code before the row-solving kernel existed.
 DATA = Path(__file__).parent / "data"
 
 
@@ -424,23 +424,8 @@ class TestDegradedPool:
         assert serial.num_sat == 1
         assert pooled.num_sat == 1
         assert _answers(pooled) == _answers(serial)
+        assert "cannot create process pool" in pooled.metadata["executor_fallback"]
 
-    @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_scheduled_estimation_equals_serial(self, no_process_pool, batch_size):
-        instance = InstanceSpec(cipher="bivium-tiny", seed=5, known_bits=8).build()
-        variables = instance.start_set[:8]
-        serial = estimate_family_scheduled(
-            instance.cnf, variables, sample_size=64, seed=3, batch_size=batch_size,
-        )
-        with pytest.warns(RuntimeWarning, match="degrading to a thread executor"):
-            pooled = estimate_family_scheduled(
-                instance.cnf, variables, sample_size=64, seed=3, batch_size=batch_size,
-                executor="process-pool", processes=4,
-            )
-        assert "cannot create process pool" in pooled.run.metadata["executor_fallback"]
-        assert pooled.costs == serial.costs
-        assert pooled.statuses == serial.statuses
-        assert pooled.statistics == serial.statistics
 
 
 def _in_threads(*jobs, timeout: float = 300.0):
@@ -494,16 +479,6 @@ class TestConcurrentRuns:
         ))
         assert [_answers(run) for run in runs] == expected
 
-    def test_two_serial_scheduled_estimations(self, families):
-        def estimate(instance):
-            return estimate_family_scheduled(
-                instance.cnf, instance.start_set[:6], sample_size=64, seed=3,
-            )
-
-        expected = [estimate(i).costs for i, _ in families]
-        runs = _in_threads(*(lambda i=i: estimate(i) for i, _ in families))
-        assert [run.costs for run in runs] == expected
-
 
 class TestProgress:
     @pytest.mark.parametrize(
@@ -523,20 +498,16 @@ class TestProgress:
         assert events == [(done, 8) for done in range(1, 9)]
 
 
-def _without_wall_time(records):
-    """Checkpoint records with the machine-dependent ``wall_time`` values blanked."""
-    if isinstance(records, list):
-        return [_without_wall_time(record) for record in records]
-    return {key: (None if key == "wall_time" else value) for key, value in records.items()}
+def _without_wall_time(record):
+    """A checkpoint record with its machine-dependent ``wall_time`` blanked."""
+    return {key: (None if key == "wall_time" else value) for key, value in record.items()}
 
 
 class TestParentWrittenCheckpoints:
-    """Checkpoints written before the row-solving kernel resume and keep their format.
+    """A checkpoint written before the row-solving kernel resumes and keeps its format.
 
-    The files under ``tests/data`` were written by the earlier runner:
-    geffe-tiny seed 1, family (1, 2, 3) on the serial backend, and scheduled
-    estimations (first 6 start-set variables, N=16, seed 3) at batch sizes 1
-    and 4, each interrupted after two tasks.
+    The file under ``tests/data`` was written by the earlier runner:
+    geffe-tiny seed 1, family (1, 2, 3) on the serial backend.
     """
 
     FAMILY = DATA / "family_geffe_tiny_seed1_d123.ckpt"
@@ -586,33 +557,6 @@ class TestParentWrittenCheckpoints:
             assert list(written["results"][task_id]) == list(record)
             assert _without_wall_time(written["results"][task_id]) == _without_wall_time(record)
 
-    @pytest.mark.parametrize("batch_size", [1, 4])
-    def test_estimation_checkpoint_resumes_in_the_same_format(self, batch_size):
-        path = DATA / f"estimation_geffe_tiny_seed1_batch{batch_size}.ckpt"
-        instance = InstanceSpec(cipher="geffe-tiny", seed=1).build()
-
-        def estimate(**kwargs):
-            return estimate_family_scheduled(
-                instance.cnf, instance.start_set[:6], sample_size=16, seed=3,
-                batch_size=batch_size, **kwargs,
-            )
-
-        fresh = estimate()
-        resumed = estimate(checkpoint=SchedulerCheckpoint.load(path))
-        assert resumed.run.metadata["from_checkpoint"] == 2
-        assert resumed.costs == fresh.costs
-        assert resumed.statuses == fresh.statuses
-        assert resumed.statistics == fresh.statistics
-
-        written: list[SchedulerCheckpoint] = []
-        estimate(checkpoint_sink=written.append, interrupt_after=2)
-        parent = SchedulerCheckpoint.load(path)
-        assert written[-1].metadata == parent.metadata
-        assert _without_wall_time(list(written[-1].results.values())) == _without_wall_time(
-            list(parent.results.values())
-        )
-        assert list(written[-1].results) == list(parent.results)
-
 
 def _session_processes(session: int, exclude: int = 0) -> list[str]:
     """Command lines of the live (non-zombie) processes of ``session``, bar ``exclude``."""
@@ -635,12 +579,13 @@ def _session_processes(session: int, exclude: int = 0) -> list[str]:
 def test_pool_runs_leave_no_process_behind():
     """Pool runs leave nothing running.
 
-    A family, a batched scheduled estimation, an ``Experiment.run()`` that
-    estimates on its pool, and one stopped mid-estimation by its progress
-    callback.  The runs happen in a fresh interpreter leading its own session.  It lists
-    the other live processes of its session just before it exits, and the
-    test scans the session again as soon as it has exited: a process in either
-    list outlived the runs.  The first list catches what exits only with the
+    A family, a batched evaluation on a pool the caller opened, an
+    ``Experiment.run()`` that estimates on its pool, and one stopped
+    mid-estimation by its progress callback.  The runs happen in a fresh
+    interpreter leading its own session.  It lists the other live processes
+    of its session just before it exits, and the test scans the session
+    again as soon as it has exited: a process in either list outlived the
+    runs.  The first list catches what exits only with the
     interpreter (``multiprocessing``'s resource tracker) without racing its
     exit.  This is also the guard against shared-memory segments: a pool run
     that made one would start the resource tracker and fail here.
@@ -652,16 +597,16 @@ def test_pool_runs_leave_no_process_behind():
         from repro.api.backends import ProcessPoolBackend
         from repro.api.specs import InstanceSpec
         from repro.core.decomposition import DecompositionSet
-        from repro.runner.estimation import estimate_family_scheduled
+        from repro.core.predictive import PredictiveFunction
 
         instance = InstanceSpec(cipher="bivium-tiny", seed=5, known_bits=8).build()
         variables = instance.start_set[:6]
         family = [a.to_literals() for a in DecompositionSet.of(variables).all_assignments()]
         ProcessPoolBackend(processes=2).run(instance.cnf, family)
-        estimate_family_scheduled(
-            instance.cnf, variables, sample_size=16, seed=3,
-            executor="process-pool", processes=2, batch_size=4,
-        )
+        evaluator = PredictiveFunction(instance.cnf, sample_size=16, seed=3, batch_size=4)
+        with ProcessPoolBackend(processes=2).pool(instance.cnf) as pool:
+            evaluator.pool = pool
+            evaluator.evaluate(variables)
 
         from repro.api import Experiment, ExperimentConfig
         from repro.api.specs import (

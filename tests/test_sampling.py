@@ -191,13 +191,6 @@ class TestSeedSpawnDiscipline:
             (1, 1, 1, 0, 1, 0),
         ]
 
-    def test_estimation_task_payloads_are_pinned(self):
-        from repro.runner.estimation import estimation_tasks
-
-        graph = estimation_tasks([3, 1, 8], 4, seed=7)
-        payloads = [graph.task(task_id).payload for task_id in graph.task_ids]
-        assert payloads == [(1, 3, -8), (-1, -3, 8), (1, 3, 8), (-1, 3, -8)]
-
     def test_child_streams_are_independent_of_consumption_order(self):
         from repro.stats.sampling import child_rng, derive_child_seeds
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runner.estimation import estimate_family_scheduled, estimation_tasks
 from repro.runner.scheduler import (
     FailureModel,
     InlineExecutor,
@@ -254,14 +253,6 @@ class TestStopAndInterrupt:
         assert run.values_in_order() == list(range(6))
         run.assert_invariants()
 
-    def test_interrupt_after_pauses_with_checkpointable_state(self):
-        graph = TaskGraph(Task(f"t{i}", payload=i) for i in range(10))
-        run = Scheduler(graph, InlineExecutor(lambda x: x), interrupt_after=4).run()
-        assert run.interrupted and not run.completed
-        checkpoint = run.checkpoint()
-        assert len(checkpoint) == 4
-        run.assert_invariants()
-
 
 class TestTaskSource:
     def test_source_refills_an_idle_worker_only_once_the_queue_is_empty(self):
@@ -317,30 +308,6 @@ class TestTaskSource:
 
 
 class TestCheckpointResume:
-    def test_round_trip_matches_uninterrupted_run(self, tmp_path):
-        durations = [float(i % 5 + 1) for i in range(16)]
-        path = tmp_path / "sched.ckpt"
-
-        first = Scheduler(
-            TaskGraph(_jobs(durations)),
-            InlineExecutor(lambda c: c),
-            checkpoint_sink=lambda chk: chk.save(path),
-            interrupt_after=7,
-        ).run()
-        assert first.interrupted and len(first.results) == 7
-
-        resumed = Scheduler(
-            TaskGraph(_jobs(durations)),
-            InlineExecutor(lambda c: c),
-            checkpoint=SchedulerCheckpoint.load(path),
-        ).run()
-        assert resumed.completed
-        assert resumed.metadata["from_checkpoint"] == 7
-        # Only the missing tasks were dispatched on resume.
-        assert resumed.metadata["dispatches"] == len(durations) - 7
-        serial = replay_serial(TaskGraph(_jobs(durations)), lambda c: c)
-        assert resumed.values_in_order() == serial.values_in_order()
-
     def test_checkpoint_save_load_round_trip(self, tmp_path):
         checkpoint = SchedulerCheckpoint(results={"a": 1, "b": [2, 3]})
         path = tmp_path / "chk.json"
@@ -353,129 +320,6 @@ class TestCheckpointResume:
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError):
             SchedulerCheckpoint.load(path)
-
-
-class TestScheduledEstimation:
-    """The acceptance criteria of the scheduler issue, on a real instance."""
-
-    SAMPLE_SIZE = 20
-
-    @pytest.fixture(scope="class")
-    def instance(self):
-        from repro.ciphers import Geffe
-        from repro.problems import make_inversion_instance
-
-        return make_inversion_instance(Geffe.tiny(), keystream_length=24, seed=5)
-
-    def _estimate(self, instance, **kwargs):
-        return estimate_family_scheduled(
-            instance.cnf,
-            instance.start_set[:6],
-            sample_size=self.SAMPLE_SIZE,
-            seed=13,
-            **kwargs,
-        )
-
-    def test_estimation_tasks_are_a_pure_function_of_the_seed(self):
-        first = estimation_tasks([3, 1, 8], 5, seed=7)
-        second = estimation_tasks([1, 8, 3], 5, seed=7)
-        assert [first.task(t).payload for t in first.task_ids] == [
-            second.task(t).payload for t in second.task_ids
-        ]
-
-    def test_simulated_cluster_statistics_bit_identical_to_serial(self, instance):
-        serial = self._estimate(instance, executor="serial")
-        cluster = self._estimate(instance, executor="simulated-cluster", cores=4)
-        assert serial.statistics == cluster.statistics
-        assert serial.costs == cluster.costs
-        assert serial.statuses == cluster.statuses
-
-    def test_thread_executor_statistics_bit_identical_to_serial(self, instance):
-        serial = self._estimate(instance, executor="serial")
-        threaded = self._estimate(instance, executor="thread", processes=3)
-        assert serial.statistics == threaded.statistics
-
-    def test_process_pool_statistics_bit_identical_to_serial(self, instance):
-        serial = estimate_family_scheduled(
-            instance.cnf, instance.start_set[:6], sample_size=8, seed=13,
-            executor="serial",
-        )
-        pooled = estimate_family_scheduled(
-            instance.cnf, instance.start_set[:6], sample_size=8, seed=13,
-            executor="process-pool", processes=2,
-        )
-        assert serial.statistics == pooled.statistics
-
-    def test_twenty_percent_crashes_still_bit_identical(self, instance):
-        serial = self._estimate(instance, executor="serial")
-        crashy = self._estimate(
-            instance,
-            executor="simulated-cluster",
-            cores=4,
-            failures=FailureModel(
-                crash_rate=0.35, straggler_rate=0.1, duplicate_rate=0.1, seed=1
-            ),
-            retry=RetryPolicy(max_attempts=None, timeout=1e6),
-        )
-        run = crashy.run
-        # The acceptance bar: at least 20% of the sample hit a worker crash.
-        assert run.metadata["injected_crashes"] >= 0.2 * self.SAMPLE_SIZE
-        assert run.completed
-        assert serial.statistics == crashy.statistics
-        assert serial.costs == crashy.costs
-        run.assert_invariants()
-
-    def test_checkpoint_resume_reproduces_full_trajectory(self, instance, tmp_path):
-        path = tmp_path / "trajectory.ckpt"
-        serial = self._estimate(instance, executor="serial")
-
-        interrupted = self._estimate(
-            instance,
-            executor="serial",
-            checkpoint_sink=lambda chk: chk.save(path),
-            interrupt_after=8,
-        )
-        assert interrupted.run.interrupted
-        assert len(interrupted.costs) == 8
-
-        resumed = self._estimate(
-            instance, executor="serial", checkpoint=SchedulerCheckpoint.load(path)
-        )
-        assert resumed.run.completed
-        assert resumed.run.metadata["from_checkpoint"] == 8
-        assert resumed.statistics == serial.statistics
-        assert resumed.costs == serial.costs
-
-    def test_unknown_executor_name_rejected(self, instance):
-        with pytest.raises(ValueError, match="unknown estimation executor"):
-            self._estimate(instance, executor="quantum")
-
-    def test_pdsat_scheduled_estimation_entry_point(self, instance):
-        from repro.core.pdsat import PDSAT
-
-        pdsat = PDSAT(instance, sample_size=10, seed=13)
-        serial = pdsat.estimate_samples_scheduled(instance.start_set[:6])
-        cluster = pdsat.estimate_samples_scheduled(
-            instance.start_set[:6], executor="simulated-cluster", cores=4
-        )
-        assert serial.statistics == cluster.statistics
-        assert serial.value == cluster.value
-
-    def test_pdsat_scheduled_estimation_uses_the_orchestrators_solver(self):
-        from repro.api.specs import InstanceSpec, SolverSpec
-        from repro.core.pdsat import PDSAT
-
-        instance = InstanceSpec(cipher="geffe-tiny", seed=1).build()
-        variables = instance.start_set[:4]
-        pdsat = PDSAT(instance, solver=SolverSpec(name="dpll"), sample_size=8)
-        scheduled = pdsat.estimate_samples_scheduled(variables)
-        dpll = estimate_family_scheduled(
-            pdsat.cnf, variables, sample_size=8, seed=pdsat.seed, solver="dpll"
-        )
-        cdcl = estimate_family_scheduled(pdsat.cnf, variables, sample_size=8, seed=pdsat.seed)
-        assert dpll.costs != cdcl.costs  # the two solvers are told apart
-        assert scheduled.costs == dpll.costs
-        assert scheduled.statuses == dpll.statuses
 
 
 class TestPDSATBackendRouting:
@@ -524,32 +368,15 @@ class TestReviewHardening:
             def close(self):
                 ClosableExecutor.closed = True
 
-        def bad_sink(_chk):
+        def bad_callback(_task_id, _value):
             raise OSError("disk full")
 
         graph = TaskGraph([Task("t0", payload=0)])
         with pytest.raises(OSError):
             Scheduler(
-                graph, ClosableExecutor(lambda p: p), checkpoint_sink=bad_sink
+                graph, ClosableExecutor(lambda p: p), on_result=bad_callback
             ).run()
         assert ClosableExecutor.closed
-
-    def test_thread_estimation_uses_one_solver_per_thread(self):
-        from repro.ciphers import Geffe
-        from repro.problems import make_inversion_instance
-
-        instance = make_inversion_instance(Geffe.tiny(), keystream_length=24, seed=5)
-        serial = estimate_family_scheduled(
-            instance.cnf, instance.start_set[:6], sample_size=24, seed=3,
-            executor="serial",
-        )
-        for _ in range(3):  # racy code would flake across repeats
-            threaded = estimate_family_scheduled(
-                instance.cnf, instance.start_set[:6], sample_size=24, seed=3,
-                executor="thread", processes=4,
-            )
-            assert threaded.statistics == serial.statistics
-            assert threaded.costs == serial.costs
 
     def test_checkpoint_of_other_family_is_rejected(self, tmp_path):
         from repro.api.backends import SerialBackend

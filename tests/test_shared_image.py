@@ -4,9 +4,9 @@
 frozen-image protocol: the leader freezes the post-``_init`` clause database
 once into a flat ``int64`` buffer, process-pool workers receive it through
 the pool initializer, and each rebuilds its solver with ``load_image``.
-These tests pin that ``load_image`` is bit-identical to ``load``, that
-corrupt buffers are rejected, and that batched process-pool estimation
-equals the scalar path, interrupted or not.
+These tests pin that ``load_image`` is bit-identical to ``load`` and that
+corrupt buffers are rejected; ``tests/test_run_pool.py`` pins that image-fed
+pool workers return exactly the serial run's results.
 """
 
 from __future__ import annotations
@@ -85,37 +85,3 @@ class TestImageLifecycle:
         with pytest.raises(ValueError, match="too small"):
             ArenaImage(array("q", [1, 2, 3]))
 
-
-class TestNoLeaksUnderTheScheduler:
-    """Batched estimation on real pool workers, which receive a frozen image.
-
-    These tests pin that the image-fed workers fold the scalar path's
-    statistics bit for bit, interrupted or not.  That a pool run leaves
-    nothing behind — no worker, and no resource tracker, which a
-    shared-memory segment would start — is checked by
-    ``tests/test_runner.py::test_pool_runs_leave_no_process_behind``.
-    """
-
-    def test_batched_process_pool_estimation_leaks_nothing(self):
-        from repro.runner.estimation import estimate_family_scheduled
-
-        cnf = _cnf()
-        batched = estimate_family_scheduled(
-            cnf, [1, 2, 3, 4], sample_size=24, seed=7,
-            executor="process-pool", processes=2, batch_size=8,
-        )
-        scalar = estimate_family_scheduled(cnf, [1, 2, 3, 4], sample_size=24, seed=7)
-        assert batched.costs == scalar.costs
-        assert batched.statistics.mean == scalar.statistics.mean
-
-    def test_interrupted_batched_run_still_unlinks_its_segment(self):
-        # An interrupted run exits the scheduler early (pause-for-checkpoint)
-        # and still returns the samples it folded so far.
-        from repro.runner.estimation import estimate_family_scheduled
-
-        partial = estimate_family_scheduled(
-            _cnf(), [1, 2, 3, 4], sample_size=24, seed=7,
-            executor="process-pool", processes=2, batch_size=4,
-            interrupt_after=2,
-        )
-        assert len(partial.costs) < 24

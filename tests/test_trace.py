@@ -403,20 +403,23 @@ class TestPreprocessorInstrumentation:
 
 
 class TestSchedulerInstrumentation:
-    def test_dispatch_and_complete_counts_match_run_metadata(self):
-        from repro.runner.estimation import estimate_family_scheduled
+    @staticmethod
+    def _traced_family(cnf, variables, **cluster_options):
+        """Solve the family of ``variables`` on the simulated cluster, traced."""
+        from repro.api.backends import SimulatedClusterBackend
+        from repro.core.decomposition import DecompositionSet
 
-        cnf = random_ksat(20, 60, k=3, seed=2)
+        vectors = [a.to_literals() for a in DecompositionSet.of(variables).all_assignments()]
         buffer = io.BytesIO()
-        writer = TraceWriter(buffer, kind="estimate")
-        estimation = estimate_family_scheduled(
-            cnf, [1, 2, 3], sample_size=8, seed=1,
-            executor="simulated-cluster", cores=3, trace=writer,
-        )
+        writer = TraceWriter(buffer, kind="solve")
+        run = SimulatedClusterBackend(**cluster_options).run(cnf, vectors, trace=writer)
         writer.close()
-        _, events = _reread(buffer)
+        return run, _reread(buffer)[1]
+
+    def test_dispatch_and_complete_counts_match_run_metadata(self):
+        run, events = self._traced_family(random_ksat(20, 60, k=3, seed=2), [1, 2, 3], cores=3)
         counts = _event_counts(events)
-        stats = estimation.run.metadata
+        stats = run.metadata
         assert counts.get("TASK_DISPATCH", 0) == stats["dispatches"] > 0
         assert counts.get("TASK_COMPLETE", 0) == stats["dispatches"]
         assert counts.get("TASK_RETRY", 0) == stats["retries"] == 0
@@ -424,39 +427,19 @@ class TestSchedulerInstrumentation:
         assert seqs == list(range(1, len(seqs) + 1))
 
     def test_retry_events_match_metadata_under_fault_injection(self):
-        from repro.runner.estimation import estimate_family_scheduled
-        from repro.runner.scheduler import FailureModel, RetryPolicy
-
-        cnf = random_ksat(20, 60, k=3, seed=2)
-        buffer = io.BytesIO()
-        writer = TraceWriter(buffer, kind="estimate")
-        estimation = estimate_family_scheduled(
-            cnf, [1, 2, 3], sample_size=10, seed=1,
-            executor="simulated-cluster", cores=4,
-            failures=FailureModel(crash_rate=0.3, seed=5),
-            retry=RetryPolicy(max_attempts=None, timeout=50.0),
-            trace=writer,
+        run, events = self._traced_family(
+            random_ksat(20, 60, k=3, seed=2), [1, 2, 3, 4], cores=4,
+            crash_rate=0.3, failures_seed=5, max_attempts=None,
         )
-        writer.close()
-        _, events = _reread(buffer)
         counts = _event_counts(events)
-        stats = estimation.run.metadata
+        stats = run.metadata
+        assert stats["crashes"] > 0
         assert counts.get("TASK_RETRY", 0) == stats["retries"]
         assert counts.get("TASK_DISPATCH", 0) == stats["dispatches"]
-        assert estimation.run.completed
+        assert len(run.outcomes) == 16
 
     def test_virtual_completion_times_are_monotone(self):
-        from repro.runner.estimation import estimate_family_scheduled
-
-        cnf = random_ksat(18, 54, k=3, seed=6)
-        buffer = io.BytesIO()
-        writer = TraceWriter(buffer, kind="estimate")
-        estimate_family_scheduled(
-            cnf, [1, 2], sample_size=6, seed=0,
-            executor="simulated-cluster", cores=2, trace=writer,
-        )
-        writer.close()
-        _, events = _reread(buffer)
+        _, events = self._traced_family(random_ksat(18, 54, k=3, seed=6), [1, 2], cores=2)
         times = [e.args[2] for e in events if e.name == "TASK_COMPLETE"]
         assert times and times == sorted(times)
 
@@ -499,6 +482,22 @@ class TestDeterminismAndDiff:
             record_estimate(cnf, [1, 2, 3], path, sample_size=8, seed=1, cores=3)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert diff_traces(paths[0], paths[1]).identical
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_recorded_estimate_is_the_evaluators(self, tmp_path, seed):
+        # record_estimate solves the evaluator's own sample, one row per
+        # simulated-cluster task, and folds it into the evaluator's F.
+        from repro.api.specs import InstanceSpec
+        from repro.core.predictive import PredictiveFunction
+
+        instance = InstanceSpec(cipher="geffe-tiny", seed=1).build()
+        variables = instance.start_set[:6]
+        path = tmp_path / "estimate.trc"
+        recorded = record_estimate(instance.cnf, variables, path, sample_size=16, seed=seed)
+        evaluated = PredictiveFunction(instance.cnf, sample_size=16, seed=seed).evaluate(variables)
+        assert recorded.value == evaluated.value
+        assert recorded.estimate.half_width == evaluated.estimate.half_width
+        assert _event_counts(read_trace(path)[1])["TASK_DISPATCH"] == 16
 
     def test_identically_configured_family_solves_are_byte_identical(self, tmp_path):
         # The perf-smoke lane's solving-mode pair: the 64-row geffe-tiny
@@ -567,7 +566,7 @@ class TestAnalysis:
         estimation = record_estimate(cnf, [1, 2, 3], path, sample_size=8, seed=1)
         summary = summarize_trace(path)
         sched = summary["scheduler"]
-        assert sched["dispatches"] == estimation.run.metadata["dispatches"]
+        assert sched["dispatches"] == len(estimation.observations) == 8
         assert sched["task_latency_us"]["count"] == sched["dispatches"]
         assert sched["makespan_us"] > 0
         assert sum(sched["outcomes"].values()) == sched["dispatches"]

@@ -747,7 +747,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
                 f"F = {estimation.value:.4g} over {len(variables)} variables "
                 f"({estimation.sample_size} samples)"
             )
-    except UnknownNameError as error:
+    except ValueError as error:  # UnknownNameError included
         raise SystemExit(str(error)) from None
     header, events = read_trace(out)
     size = out.stat().st_size

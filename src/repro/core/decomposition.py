@@ -18,9 +18,20 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sat.assignment import Assignment
 from repro.sat.formula import CNF
+from repro.stats.sampling import random_bits
+
+
+class SampleRow(NamedTuple):
+    """One assignment ``α`` of a decomposition set, as the sample loop solves it."""
+
+    #: ``α`` itself, one bit per variable in the set's order.
+    bits: tuple[int, ...]
+    #: The substitution ``X̃ / α`` as assumption literals, sorted by variable.
+    literals: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,25 @@ class DecompositionSet:
 
     def random_assignment(self, rng: random.Random) -> Assignment:
         """Draw ``α`` uniformly from ``{0,1}^d``."""
-        return Assignment.from_bits(
-            self.variables, [rng.randint(0, 1) for _ in range(self.d)]
-        )
+        return Assignment.from_bits(self.variables, random_bits(rng, self.d))
 
-    def random_sample(self, sample_size: int, rng: random.Random) -> list[Assignment]:
-        """The paper's *random sample* (4): ``N`` independent uniform assignments."""
-        return [self.random_assignment(rng) for _ in range(sample_size)]
+    def random_sample(self, sample_size: int, rng: random.Random) -> list[SampleRow]:
+        """The paper's *random sample* (4): ``N`` independent uniform assignments.
+
+        One :func:`~repro.stats.sampling.random_bits` call draws the bits of
+        all ``N`` rows, row after row, as ``N`` draws of ``d`` bits would.
+        """
+        d = self.d
+        drawn = random_bits(rng, sample_size * d)
+        return self.rows(drawn[row * d : (row + 1) * d] for row in range(sample_size))
+
+    def rows(self, bit_vectors: Iterable[tuple[int, ...]]) -> list[SampleRow]:
+        """Each bit vector ``α`` with the assumption literals of ``X̃ / α``."""
+        signed = sorted((var, index) for index, var in enumerate(self.variables))
+        return [
+            SampleRow(bits, tuple([var if bits[index] else -var for var, index in signed]))
+            for bits in bit_vectors
+        ]
 
     def all_assignments(self) -> Iterator[Assignment]:
         """Enumerate the full decomposition family's assignments in lexicographic order."""

@@ -30,7 +30,12 @@ one sample loop, which :meth:`PredictiveFunction.evaluate` and
 :meth:`PredictiveFunction.exhaustive_value` share (except on an incremental
 evaluator, whose exhaustive value solves every row fresh): it walks the
 sample in order, replays cache hits (below), and takes every other row's
-result from one of four row engines:
+result from one of four row engines.  The sample's rows are drawn once, by
+:meth:`DecompositionSet.random_sample
+<repro.core.decomposition.DecompositionSet.random_sample>` through
+:func:`repro.stats.sampling.random_bits` (which consumes the generator
+exactly as ``randint(0, 1)`` per bit does), each as its bits and its
+assumption literals, so a row costs little more than its solve:
 
 * *fresh* (the default): ``solve(cnf, assumptions=row)``, the paper's ξ;
 * *incremental*: ``solve(assumptions=row)`` on the loaded solver (below);
@@ -92,16 +97,17 @@ differently configured solvers learn different clauses.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 import time
 from collections import OrderedDict
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
+from repro.api.measures import CostMeasure
 from repro.api.registry import get_cost_measure
-from repro.core.decomposition import DecompositionFamily, DecompositionSet
+from repro.core.decomposition import DecompositionFamily, DecompositionSet, SampleRow
 from repro.runner.pool import SampledRow, sampled_row, solve_beside
-from repro.sat.assignment import Assignment
 from repro.sat.cdcl import CDCLSolver
 from repro.sat.formula import CNF
 from repro.sat.solver import SolveResult, Solver, SolverBudget, SolverStatus
@@ -394,11 +400,13 @@ class PredictiveFunction:
         self._cache[key] = result
         return result
 
-    def sample(self, decomposition: DecompositionSet) -> list[Assignment]:
+    def sample(self, decomposition: DecompositionSet) -> list[SampleRow]:
         """The random sample (4) an evaluation at ``decomposition`` solves, in order.
 
-        ``N`` assignments drawn from this evaluator's seed and the set's
-        variables, so every evaluation of one point draws the same sample.
+        ``N`` rows drawn by :meth:`DecompositionSet.random_sample` from this
+        evaluator's seed and the set's variables, so every evaluation of one
+        point draws the same sample.  Each row holds its bits and its
+        assumption literals, which are also its key in the sample cache.
         """
         if decomposition.d == 0:
             raise ValueError("cannot evaluate the empty decomposition set")
@@ -454,47 +462,56 @@ class PredictiveFunction:
             self.solver.load(self.cnf)
 
     def _solve_sample(
-        self, sample: list[Assignment], dec: DecompositionSet
+        self, sample: list[SampleRow], dec: DecompositionSet
     ) -> list[tuple[SampleObservation, dict[int, float]]]:
         """The one sample loop: each row's observation and activity, in order.
 
         A cached row replays its observation (``cached=True``) and moves to
         the LRU's end; every other row is solved, counted and cached.  The
         scalar engines solve a row at its turn, so an entry evicted
-        mid-sample is re-solved exactly when it is reached.
+        mid-sample is re-solved exactly when it is reached.  The cost
+        measure is looked up once per call, not once per row.
         """
-        keys = [tuple(assignment.to_literals()) for assignment in sample]
-        ahead = self._solve_ahead(keys) if self.batch_size > 1 else {}
+        measure = get_cost_measure(self.cost_measure)
+        ahead = (
+            self._solve_ahead([row.literals for row in sample], measure)
+            if self.batch_size > 1
+            else {}
+        )
+        cache = self._sample_cache if self.sample_cache_size else None
         solved: list[tuple[SampleObservation, dict[int, float]]] = []
-        for index, (assignment, key) in enumerate(zip(sample, keys)):
+        for index, (bits, key) in enumerate(sample):
             self.num_subproblem_solves += 1
-            hit = self._sample_cache.get(key) if self.sample_cache_size else None
+            hit = cache.get(key) if cache is not None else None
             if hit is not None:
-                self._sample_cache.move_to_end(key)
+                cache.move_to_end(key)
                 self.sample_cache_hits += 1
                 observation, sub_activity = hit
-                solved.append((replace(observation, cached=True), sub_activity))
+                replayed = SampleObservation(
+                    observation.assignment_bits,
+                    observation.cost,
+                    observation.status,
+                    observation.wall_time,
+                    True,
+                )
+                solved.append((replayed, sub_activity))
                 continue
             self.num_solver_calls += 1
-            status, cost, wall_time, sub_activity = (
-                ahead.pop(index)
-                if index in ahead
-                else sampled_row(self._solve_row(key, assignment, dec), self.cost_measure)
-            )
-            observation = SampleObservation(
-                assignment_bits=assignment.bits_for(list(dec.variables)),
-                cost=cost,
-                status=status,
-                wall_time=wall_time,
-            )
-            if self.sample_cache_size:
-                self._sample_cache[key] = (observation, sub_activity)
-                if len(self._sample_cache) > self.sample_cache_size:
-                    self._sample_cache.popitem(last=False)
+            record = ahead.pop(index, None)
+            if record is None:
+                record = sampled_row(self._solve_row(bits, key, dec), measure)
+            status, cost, wall_time, sub_activity = record
+            observation = SampleObservation(bits, cost, status, wall_time)
+            if cache is not None:
+                cache[key] = (observation, sub_activity)
+                if len(cache) > self.sample_cache_size:
+                    cache.popitem(last=False)
             solved.append((observation, sub_activity))
         return solved
 
-    def _solve_ahead(self, keys: list[tuple[int, ...]]) -> dict[int, SampledRow]:
+    def _solve_ahead(
+        self, keys: list[tuple[int, ...]], measure: CostMeasure
+    ) -> dict[int, SampledRow]:
         """The batched engine: solve the sample's cache misses up front.
 
         Each row's status, cost, wall time and activity, by sample position.
@@ -522,14 +539,18 @@ class PredictiveFunction:
         pool = self.pool if self.pool is not None and not self.pool.closed else None
         solvers = min(len(rows), pool.num_workers) if pool is not None else 1
         if solvers < 2:
-            return dict(zip(planned, self._solve_batches(rows)))
+            return dict(zip(planned, self._solve_batches(rows, measure)))
         size, extra = divmod(len(rows), solvers)
         cuts = [index * size + min(index, extra) for index in range(solvers + 1)]
         shares = [rows[begin:end] for begin, end in zip(cuts, cuts[1:])]
-        mine, theirs = solve_beside(pool, shares[1:], lambda: self._solve_batches(shares[0]))
+        mine, theirs = solve_beside(
+            pool, shares[1:], lambda: self._solve_batches(shares[0], measure)
+        )
         return dict(zip(planned, mine + [record for share in theirs for record in share]))
 
-    def _solve_batches(self, rows: list[tuple[int, ...]]) -> list[SampledRow]:
+    def _solve_batches(
+        self, rows: list[tuple[int, ...]], measure: CostMeasure
+    ) -> list[SampledRow]:
         """``rows`` solved here by ``solve_batch`` calls of ``batch_size`` rows each."""
         if self.solver.loaded_cnf is not self.cnf:
             self.solver.load(self.cnf)
@@ -538,11 +559,11 @@ class PredictiveFunction:
             results = self.solver.solve_batch(
                 rows[begin : begin + self.batch_size], budget=self.subproblem_budget
             )
-            records.extend(sampled_row(result, self.cost_measure) for result in results)
+            records.extend(sampled_row(result, measure) for result in results)
         return records
 
     def _solve_row(
-        self, literals: tuple[int, ...], assignment: Assignment, dec: DecompositionSet
+        self, bits: tuple[int, ...], literals: tuple[int, ...], dec: DecompositionSet
     ) -> SolveResult:
         """Solve one sampled sub-instance with the evaluator's row engine."""
         budget = self.subproblem_budget
@@ -550,6 +571,7 @@ class PredictiveFunction:
             # A planned replay whose cache entry was evicted mid-sample.
             return self.solver.solve_batch([literals], budget=budget)[0]
         if self.substitution_mode == "units":
+            assignment = dec.assignment_from_bits(bits)
             sub = DecompositionFamily(self.cnf, dec).subproblem(assignment, as_units=True)
             return self.solver.solve(sub, budget=budget)
         if self.incremental:
@@ -576,20 +598,18 @@ class PredictiveFunction:
             raise ValueError(
                 f"2^{dec.d} sub-problems exceed the max_subproblems={max_subproblems} safety limit"
             )
-        assignments = list(dec.all_assignments())
+        rows = dec.rows(itertools.product((0, 1), repeat=dec.d))
         if not self.incremental:
-            costs = [observation.cost for observation, _ in self._solve_sample(assignments, dec)]
+            costs = [observation.cost for observation, _ in self._solve_sample(rows, dec)]
             return sum(costs), costs
         # Incremental costs depend on what the solver learned before, and t is
         # defined by fresh solves: solve every row fresh on a copy of the
         # solver, so that neither its state nor the sample cache sees the call.
         solver = copy.deepcopy(self.solver)
         costs = []
-        for assignment in assignments:
+        for _, literals in rows:
             self.num_subproblem_solves += 1
             self.num_solver_calls += 1
-            result = solver.solve(
-                self.cnf, assumptions=assignment.to_literals(), budget=self.subproblem_budget
-            )
+            result = solver.solve(self.cnf, assumptions=literals, budget=self.subproblem_budget)
             costs.append(result.stats.cost(self.cost_measure))
         return sum(costs), costs

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
-from repro.api.registry import get_solver
+from repro.api.registry import get_cost_measure, get_solver
 from repro.runner.scheduler import (
     OUTCOME_SUCCESS,
     Executor,
@@ -52,7 +52,7 @@ from repro.runner.scheduler import (
 )
 from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
-from repro.sat.solver import SolveResult, SolverBudget, SolverStatus
+from repro.sat.solver import SolveResult, SolverBudget, SolverStats, SolverStatus
 
 T = TypeVar("T")
 
@@ -73,11 +73,16 @@ class SubproblemOutcome:
 SampledRow = tuple[SolverStatus, float, float, dict[int, float]]
 
 
-def sampled_row(result: SolveResult, cost_measure: str) -> SampledRow:
-    """The :data:`SampledRow` of one solve result."""
+def sampled_row(result: SolveResult, measure: Callable[[SolverStats], float]) -> SampledRow:
+    """The :data:`SampledRow` of one solve result, its cost taken by ``measure``.
+
+    ``measure`` is a resolved cost measure
+    (:func:`~repro.api.registry.get_cost_measure`), looked up once per batch
+    of rows rather than once per row.
+    """
     return (
         result.status,
-        result.stats.cost(cost_measure),
+        measure(result.stats),
         result.stats.wall_time,
         # Only nonzero bumps: a dense per-variable dict would dominate the
         # memory of the evaluator's sample cache.
@@ -186,7 +191,8 @@ class WorkerState:
                 for row in rows
             ]
         if isinstance(payload, SampleRows):
-            return [sampled_row(result, self.cost_measure) for result in results]
+            measure = get_cost_measure(self.cost_measure)
+            return [sampled_row(result, measure) for result in results]
         return [
             SubproblemOutcome(
                 assumptions=row,

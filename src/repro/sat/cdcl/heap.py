@@ -34,44 +34,56 @@ class ActivityHeap:
         return not self._heap
 
     # ------------------------------------------------------------------ heap ops
-    def _less(self, a: int, b: int) -> bool:
-        # Max-heap on activity; ties broken by smaller variable index for determinism.
-        act = self._activity
-        if act[a] != act[b]:
-            return act[a] > act[b]
-        return a < b
-
-    def _swap(self, i: int, j: int) -> None:
-        heap = self._heap
-        heap[i], heap[j] = heap[j], heap[i]
-        self._indices[heap[i]] = i
-        self._indices[heap[j]] = j
-
+    # Max-heap on activity; ties go to the smaller variable index, so the
+    # order is total and deterministic.  Both sifts move a hole instead of
+    # swapping, with the arrays and the compared activity in locals: the
+    # solver sifts on every activity bump and every backtracked variable.
     def _sift_up(self, i: int) -> None:
         heap = self._heap
+        indices = self._indices
+        activity = self._activity
+        var = heap[i]
+        act = activity[var]
         while i > 0:
             parent = (i - 1) >> 1
-            if self._less(heap[i], heap[parent]):
-                self._swap(i, parent)
+            above = heap[parent]
+            above_act = activity[above]
+            if act > above_act or (act == above_act and var < above):
+                heap[i] = above
+                indices[above] = i
                 i = parent
             else:
                 break
+        heap[i] = var
+        indices[var] = i
 
     def _sift_down(self, i: int) -> None:
         heap = self._heap
+        indices = self._indices
+        activity = self._activity
         size = len(heap)
+        var = heap[i]
+        act = activity[var]
         while True:
-            left = 2 * i + 1
-            right = left + 1
-            best = i
-            if left < size and self._less(heap[left], heap[best]):
-                best = left
-            if right < size and self._less(heap[right], heap[best]):
-                best = right
-            if best == i:
+            child = 2 * i + 1
+            if child >= size:
                 break
-            self._swap(i, best)
-            i = best
+            child_var = heap[child]
+            child_act = activity[child_var]
+            right = child + 1
+            if right < size:
+                right_var = heap[right]
+                right_act = activity[right_var]
+                if right_act > child_act or (right_act == child_act and right_var < child_var):
+                    child, child_var, child_act = right, right_var, right_act
+            if child_act > act or (child_act == act and child_var < var):
+                heap[i] = child_var
+                indices[child_var] = i
+                i = child
+            else:
+                break
+        heap[i] = var
+        indices[var] = i
 
     # ------------------------------------------------------------------ public
     def push(self, var: int) -> None:

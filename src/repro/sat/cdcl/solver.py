@@ -84,6 +84,8 @@ from repro.sat.solver import SolveResult, SolverBudget, SolverStats, SolverStatu
 _TRUE, _FALSE, _UNDEF = 1, 0, -1
 #: Reason sentinel: the variable is a decision/assumption (no reason clause).
 _NO_REASON = -1
+#: The budget of a call given none; never mutated, so every such call shares it.
+_UNLIMITED = SolverBudget()
 
 
 def _ilit(lit: int) -> int:
@@ -333,7 +335,7 @@ class CDCLSolver:
         pristine root snapshot and calls this with ``fresh=True``, which makes
         it bit-identical to ``solve(cnf, ...)`` without re-running ``_init``.
         """
-        self._budget = budget or SolverBudget()
+        self._budget = budget or _UNLIMITED
         self._stats = SolverStats()
         self._trace = trace if trace is not None else self.trace
         self._pristine = False
@@ -345,11 +347,19 @@ class CDCLSolver:
         rescales_before = self._activity_rescales
         var_inc_before = self._var_inc
 
+        # One pass converts each literal to its internal index (as _ilit
+        # does) and refuses 0 and variables outside the formula.
+        num_vars = self._num_vars
+        internal: list[int] = []
         for literal in assumptions:
-            if literal == 0 or abs(literal) > self._num_vars:
+            if 0 < literal <= num_vars:
+                internal.append(literal << 1)
+            elif 0 < -literal <= num_vars:
+                internal.append((-literal << 1) | 1)
+            else:
                 raise ValueError(
                     f"assumption literal {literal} is outside the loaded "
-                    f"formula's variables 1..{self._num_vars}"
+                    f"formula's variables 1..{num_vars}"
                 )
         if self._presolve is not None:
             gone = sorted({abs(lit) for lit in assumptions} & self.unassumable_variables)
@@ -362,7 +372,7 @@ class CDCLSolver:
         if self._trace is not None:
             self._trace.solve_begin(self._solve_seq, len(assumptions))
         self._solve_seq += 1
-        status = self._solve_internal([_ilit(lit) for lit in assumptions])
+        status = self._solve_internal(internal)
 
         self._stats.wall_time = time.perf_counter() - start
         model = None
@@ -1359,7 +1369,8 @@ class CDCLSolver:
         """Run the restart loop; ``assumptions`` are internal literal indices."""
         if not self._ok:
             return SolverStatus.UNSAT
-        if self._propagate() >= 0:
+        # An incremental call usually finds the root queue drained already.
+        if self._qhead < len(self._trail) and self._propagate() >= 0:
             self._ok = False  # conflict at level 0: globally UNSAT
             return SolverStatus.UNSAT
         if self._num_vars == 0:

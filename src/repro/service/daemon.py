@@ -28,10 +28,11 @@ One :class:`ServiceDaemon` owns five things:
   response line; ``watch`` streams) over a unix socket — or TCP when the
   config names a host/port — serving submit/status/result/cancel/watch/
   jobs/stats/shutdown.  A connection stays open and is served request after
-  request until the client closes it; a line that is not a JSON request
-  gets the ``protocol`` error and closes it.  Stopping the daemon shuts
-  down every open connection, so a client holding one sees end-of-file
-  and reconnects to whichever daemon serves the address next.
+  request until the client closes it; a line that is not a JSON request,
+  or that runs past :data:`MAX_REQUEST_BYTES`, gets the ``protocol`` error
+  and closes it.  Stopping the daemon shuts down every open connection, so
+  a client holding one sees end-of-file and reconnects to whichever daemon
+  serves the address next.
 
 Quotas are per tenant and count *active* (queued + running) jobs; queue
 depth is bounded by ``max_queue_depth`` — a full queue rejects with a
@@ -68,6 +69,11 @@ from repro.service.store import ResultStore, content_key
 
 #: Experiment modes a job may run (the facade methods the worker dispatches to).
 MODES = ("estimate", "solve", "run")
+
+#: Longest request line the daemon reads, newline included.  Configs name
+#: instances by cipher and seed, so no request carries a formula: a submit
+#: of a few kilobytes is large, and a line past this limit is refused unread.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class _JobCancelled(Exception):
@@ -867,12 +873,16 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             except OSError:
                 return  # reset by the client, or shut down by the daemon
             if not line:
                 return
             try:
+                if len(line) > MAX_REQUEST_BYTES:
+                    raise ValueError(
+                        f"request line longer than {MAX_REQUEST_BYTES} bytes"
+                    )
                 request = json.loads(line)
                 self.server.daemon._handle_request(request, self.wfile)
             except Exception as error:  # noqa: BLE001 — protocol errors -> client

@@ -25,6 +25,7 @@ from repro.stats.sampling import (
     child_rng,
     child_seed,
     derive_child_seeds,
+    random_bits,
     sample_bits,
     sequential_estimate,
     stratified_estimate,
@@ -49,5 +50,6 @@ __all__ = [
     "child_rng",
     "child_seed",
     "derive_child_seeds",
+    "random_bits",
     "sample_bits",
 ]

@@ -72,19 +72,47 @@ def child_rng(seed: int, index: int) -> random.Random:
     return random.Random(child_seed(seed, index))
 
 
+#: ``random.Random.getrandbits(2)`` is the top two bits of one 32-bit word of
+#: the generator's stream; a word whose top byte is below 128 gives the bit
+#: ``byte >> 6``, and any other word is redrawn.
+_BIT_OF_TOP_BYTE = bytes(byte >> 6 for byte in range(256))
+_REDRAWN_TOP_BYTES = bytes(range(128, 256))
+
+
+def random_bits(rng: random.Random, width: int) -> tuple[int, ...]:
+    """``width`` uniform bits drawn from ``rng``: the draw behind every random sample.
+
+    Equal to ``tuple(rng.randint(0, 1) for _ in range(width))``, and leaves
+    ``rng`` in the same state.  ``randint(0, 1)`` takes ``getrandbits(2)``,
+    the top two bits of the stream's next 32-bit word, and draws again while
+    they read 2 or 3.  This takes the words the remaining bits need at
+    least, ``getrandbits(32 * k)`` at a time (first word lowest), keeps the
+    bits of the words that ``randint`` accepts, and repeats for the words
+    it would have redrawn, so no word past the last accepted one is drawn.
+    The rows of :meth:`DecompositionSet.random_sample
+    <repro.core.decomposition.DecompositionSet.random_sample>` (the random
+    sample (4) of every evaluation, drawn in one call) and
+    :func:`sample_bits` come from here.
+    """
+    bits = b""
+    while len(bits) < width:
+        need = width - len(bits)
+        words = rng.getrandbits(need << 5).to_bytes(need << 2, "little")
+        bits += words[3::4].translate(_BIT_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
+    return tuple(bits)
+
+
 def sample_bits(task_seed: int, width: int) -> tuple[int, ...]:
     """Draw one task's uniform bit vector of length ``width`` from its child seed.
 
-    This is the per-task replacement for threading one RNG through
-    ``DecompositionSet.random_sample``: the bits of sample ``j`` are a pure
-    function of its child seed (``derive_child_seeds(root, n)[j]``), so a
-    parallel run samples exactly the assignments a serial run would,
-    regardless of completion order or worker count.
+    The bits of sample ``j`` are a pure function of its child seed
+    (``derive_child_seeds(root, n)[j]``), so a parallel run samples exactly
+    the assignments a serial run would, regardless of completion order or
+    worker count.
     """
     if width < 0:
         raise ValueError("width must be non-negative")
-    rng = random.Random(task_seed)
-    return tuple(rng.randint(0, 1) for _ in range(width))
+    return random_bits(random.Random(task_seed), width)
 
 
 def bootstrap_confidence_interval(

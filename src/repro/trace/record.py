@@ -119,6 +119,8 @@ def record_estimate(
         cnf, sample_size=sample_size, cost_measure=cost_measure, seed=seed
     )
     sample = evaluator.sample(dec)
+    # Built before the writer opens, so refused settings leave no trace file.
+    backend = SimulatedClusterBackend(cores)
     options = dict(solver_options or {})
     config = {
         "variables": sorted(int(v) for v in variables),
@@ -130,9 +132,9 @@ def record_estimate(
         "cores": cores,
     }
     with _open_writer(trace_out, kind="estimate", cnf=cnf, config=config) as writer:
-        run = SimulatedClusterBackend(cores).run(
+        run = backend.run(
             cnf,
-            [assignment.to_literals() for assignment in sample],
+            [row.literals for row in sample],
             solver=SolverSpec(name=solver, options=options),
             cost_measure=cost_measure,
             budget=budget,
@@ -142,11 +144,11 @@ def record_estimate(
         dec,
         [
             SampleObservation(
-                assignment_bits=assignment.bits_for(list(dec.variables)),
+                assignment_bits=row.bits,
                 cost=outcome.cost,
                 status=outcome.status,
                 wall_time=outcome.wall_time,
             )
-            for assignment, outcome in zip(sample, run.outcomes)
+            for row, outcome in zip(sample, run.outcomes)
         ],
     )

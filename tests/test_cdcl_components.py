@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sat.cdcl.clause import WatchedClause
@@ -85,6 +87,39 @@ class TestActivityHeap:
         heap, _ = self._make([5.0, 1.0, 4.0, 2.0, 3.0])
         order = [heap.pop() for _ in range(5)]
         assert order == [1, 3, 5, 4, 2]
+
+    def test_matches_a_brute_force_queue(self):
+        # Random push, pop and bump-then-update sequences on a shared activity
+        # list, with few distinct activities so ties are common: every pop
+        # must return the queued variable of highest activity, the smallest
+        # index among equals, as a scan of the queued set finds it.
+        rng = random.Random(20)
+        for _ in range(300):
+            num_vars = rng.randint(1, 24)
+            activity = [0.0] * (num_vars + 1)
+            heap = ActivityHeap(activity)
+            queued: set[int] = set()
+            for _ in range(rng.randint(1, 150)):
+                op = rng.random()
+                if op < 0.4:
+                    var = rng.randint(1, num_vars)
+                    heap.push(var)
+                    queued.add(var)
+                elif op < 0.7:
+                    var = rng.randint(1, num_vars)
+                    activity[var] += rng.choice((0.5, 1.0, 2.0))
+                    heap.update(var)
+                elif queued:
+                    expected = min(queued, key=lambda v: (-activity[v], v))
+                    assert heap.pop() == expected
+                    queued.discard(expected)
+                assert len(heap) == len(queued)
+                assert all(var in heap for var in queued)
+            while queued:
+                expected = min(queued, key=lambda v: (-activity[v], v))
+                assert heap.pop() == expected
+                queued.discard(expected)
+            assert heap.is_empty()
 
 
 class TestWatchedClause:

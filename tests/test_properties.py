@@ -124,8 +124,10 @@ def test_decomposition_sampling_stays_in_set(variables, seed):
     """Random samples only assign decomposition variables, with full coverage of the set."""
     dec = DecompositionSet.of(variables)
     rng = random.Random(seed)
-    for assignment in dec.random_sample(5, rng):
-        assert set(assignment.variables()) == set(dec.variables)
+    for row in dec.random_sample(5, rng):
+        assert len(row.bits) == dec.d
+        assert sorted(abs(lit) for lit in row.literals) == sorted(dec.variables)
+        assert row.literals == tuple(dec.assignment_from_bits(row.bits).to_literals())
     assert dec.num_subproblems == 2 ** len(variables)
 
 

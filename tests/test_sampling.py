@@ -191,6 +191,29 @@ class TestSeedSpawnDiscipline:
             (1, 1, 1, 0, 1, 0),
         ]
 
+    def test_random_bits_draw_what_randint_draws(self):
+        # The sample (4) of every evaluation is drawn by random_bits; it must
+        # consume the generator exactly as one randint(0, 1) per bit does, on
+        # every Python version the package supports.  Each seed's widths draw
+        # one after another from the same two generators, so a width that
+        # consumed a different number of words would shift every later draw
+        # and the final state.
+        from repro.stats.sampling import random_bits
+
+        for seed in range(1000):
+            reference, fast = random.Random(seed), random.Random(seed)
+            for width in range(1, 65):
+                expected = tuple(reference.randint(0, 1) for _ in range(width))
+                assert random_bits(fast, width) == expected
+            assert fast.getstate() == reference.getstate()
+        # An evaluation draws its whole sample at once: N rows of d bits.
+        for seed in range(20):
+            reference, fast = random.Random(seed), random.Random(seed)
+            for width in (100 * 11, 64 * 64):
+                expected = tuple(reference.randint(0, 1) for _ in range(width))
+                assert random_bits(fast, width) == expected
+            assert fast.getstate() == reference.getstate()
+
     def test_child_streams_are_independent_of_consumption_order(self):
         from repro.stats.sampling import child_rng, derive_child_seeds
 

@@ -44,6 +44,7 @@ from repro.service import (
 from repro.runner.scheduler import SchedulerCheckpoint
 from repro.service.chaos import ChaosPolicy
 from repro.service.client import TERMINAL_STATES
+from repro.service.daemon import MAX_REQUEST_BYTES
 
 
 def _estimate_config(seed: int = 1, evaluations: int = 3) -> dict:
@@ -801,6 +802,44 @@ class TestKeepAlive:
             assert error["ok"] is False and error["code"] == "protocol"
             assert reader.readline() == b""
             reader.close()
+
+    def test_overlong_line_gets_protocol_error_and_the_daemon_carries_on(
+        self, daemon_factory
+    ):
+        import socket
+
+        daemon = daemon_factory(workers=1)
+        client = ServiceClient(daemon.socket_path)
+        job_id = client.submit("estimate", _estimate_config())["job_id"]
+        assert client.wait(job_id)["state"] == "done"
+        line = b'{"op": "ping", "pad": "' + b"x" * (2 * MAX_REQUEST_BYTES) + b'"}\n'
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10.0)
+            sock.connect(daemon.socket_path)
+
+            def send() -> None:
+                try:
+                    sock.sendall(line)
+                except OSError:
+                    pass  # the daemon closes the connection without reading the rest
+
+            sender = threading.Thread(target=send)
+            sender.start()
+            reader = sock.makefile("rb")
+            error = json.loads(reader.readline())
+            assert error["ok"] is False and error["code"] == "protocol"
+            assert str(MAX_REQUEST_BYTES) in error["error"]
+            try:
+                rest = reader.readline()
+            except ConnectionResetError:
+                rest = b""  # closed with the unread rest of the line still queued
+            assert rest == b""
+            sender.join(10.0)
+            reader.close()
+        assert ServiceClient(daemon.socket_path).ping()["ok"]
+        daemon.shutdown()
+        restarted = daemon_factory(workers=1)
+        assert ServiceClient(restarted.socket_path).status(job_id)["state"] == "done"
 
 
 class TestJournal:

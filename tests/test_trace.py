@@ -679,6 +679,23 @@ class TestTraceCli:
         summary = summarize_trace(trace)
         assert summary["scheduler"]["dispatches"] > 0
 
+    @pytest.mark.parametrize(
+        "flag", ["--decomposition-size", "--sample-size", "--cores"]
+    )
+    def test_record_estimate_refuses_zero_with_one_line_and_no_file(self, tmp_path, flag):
+        from repro.cli import main
+
+        trace = tmp_path / "estimate.trc"
+        with pytest.raises(SystemExit) as refused:
+            main([
+                "trace", "record", "--cipher", "geffe-tiny", "--mode", "estimate",
+                "--decomposition-size", "3", "--sample-size", "6", flag, "0",
+                "--trace-out", str(trace),
+            ])
+        message = str(refused.value.code)
+        assert message and "\n" not in message
+        assert not trace.exists()
+
     def test_stats_on_missing_and_garbage_files_exit_cleanly(self, tmp_path):
         from repro.cli import main
 

@@ -6,7 +6,8 @@ encodings produced by the circuit translator contain many functionally defined
 auxiliary variables, so preprocessing shrinks them substantially.  This
 ablation measures, on a scaled Bivium instance:
 
-* how much the encoding shrinks (variables eliminated, clauses removed),
+* how much :class:`repro.sat.simplify.Preprocessor` (default rules) shrinks
+  the encoding (variables eliminated, clauses removed),
 * how the cost of solving sampled sub-problems changes, and therefore
 * how the predictive-function value of the same decomposition set changes,
 
@@ -21,7 +22,7 @@ from repro.ciphers import Bivium
 from repro.core.baselines import last_register_cells
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
-from repro.sat.simplify import SimplifyConfig, simplify_cnf
+from repro.sat.simplify import Preprocessor
 
 DECOMPOSITION_SIZE = 6
 SAMPLE_SIZE = 40
@@ -31,14 +32,8 @@ def _run_experiment():
     instance = make_inversion_instance(Bivium.scaled("tiny"), keystream_length=26, seed=8)
     decomposition = last_register_cells(instance, DECOMPOSITION_SIZE, register="B")
 
-    simplification = simplify_cnf(
-        instance.cnf,
-        SimplifyConfig(
-            subsumption=True,
-            variable_elimination=True,
-            max_growth=0,
-            frozen=frozenset(instance.start_set),
-        ),
+    simplification = Preprocessor().preprocess(
+        instance.cnf, frozen=frozenset(instance.start_set)
     )
     assert not simplification.unsat
 
@@ -70,22 +65,23 @@ def test_ablation_preprocessing(benchmark):
                 format_count(original_f.value),
             ],
             [
-                "after subsumption + BVE",
+                "after SatELite preprocessing",
                 len(simplified.variables()),
                 simplified.num_clauses,
                 format_count(simplified_f.value),
             ],
         ],
     )
+    stats = simplification.stats
     print(
-        f"eliminated variables: {simplification.num_eliminated_variables}, "
-        f"subsumed clauses: {simplification.removed_subsumed}, "
-        f"strengthened clauses: {simplification.strengthened}"
+        f"eliminated variables: {stats.eliminated_variables}, "
+        f"subsumed clauses: {stats.subsumed}, "
+        f"strengthened clauses: {stats.strengthened}"
     )
 
     # Shapes: preprocessing removes something, never invents variables, and the
     # predictive function of the same decomposition set stays in the same
     # ballpark (the sub-problems get no harder than a small constant factor).
-    assert simplification.num_eliminated_variables + simplification.removed_subsumed > 0
+    assert stats.eliminated_variables + stats.subsumed > 0
     assert len(simplified.variables()) <= len(original.variables())
     assert simplified_f.value <= original_f.value * 2.0

@@ -23,7 +23,6 @@ from repro.core.baselines import last_register_cells
 from repro.core.decomposition import DecompositionSet
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
-from repro.sat.cdcl import CDCLSolver
 from repro.stats.sampling import bootstrap_confidence_interval, sequential_estimate
 
 DECOMPOSITION_SIZE = 8

@@ -27,6 +27,7 @@ estimator is gone, and its gates hold the same floors on the evaluator.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -38,7 +39,7 @@ from repro.core.decomposition import DecompositionSet
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
 from repro.sat.cdcl import CDCLSolver
-from repro.stats.sampling import derive_child_seeds, sample_bits
+from repro.stats.sampling import random_bits
 
 SEED = 3
 SAMPLES = 200
@@ -52,14 +53,16 @@ def _bivium():
 def _sampled_rows(variables, count: int, seed: int) -> list[tuple[int, ...]]:
     """The rows ``BENCH_6.json``'s lockstep workload was recorded on.
 
-    Row ``j`` sets the sorted ``variables`` by the bits of child seed ``j``
-    of ``seed``.
+    Row ``j`` sets the sorted ``variables`` by bits drawn from a generator
+    seeded with the ``j``-th 64-bit word of ``random.Random(seed)``.
     """
     ordered = sorted(set(variables))
-    return [
-        tuple(var if bit else -var for var, bit in zip(ordered, sample_bits(child, len(ordered))))
-        for child in derive_child_seeds(seed, count)
-    ]
+    root = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        bits = random_bits(random.Random(root.getrandbits(64)), len(ordered))
+        rows.append(tuple(var if bit else -var for var, bit in zip(ordered, bits)))
+    return rows
 
 
 def batch_solve_workload(cnf, rows, rounds: int = 2) -> dict[str, object]:

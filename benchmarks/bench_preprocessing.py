@@ -17,7 +17,10 @@ should — and stays *safe* everywhere:
   single bit of the estimate.
 
 The exact reduction counters of the same encodings are pinned in tier-1
-(``tests/test_simplify.py::TestCipherEncodingReduction``).
+(``tests/test_simplify.py::TestCipherEncodingReduction``), and so is the
+preprocessor's output against the plain candidate walks it replaced
+(``tests/test_simplify_reference.py``); :func:`test_small_encodings_match_the_reference`
+runs that comparison on the larger ``*-small`` encodings tier-1 leaves out.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from repro.core.decomposition import DecompositionSet
 from repro.core.predictive import PredictiveFunction
 from repro.problems import make_inversion_instance
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.simplify import Preprocessor
+from repro.sat.simplify import PreprocessConfig, Preprocessor
 from repro.sat.solver import SolverStatus
+from tests.simplify_reference import assert_same_as_reference
 
 SEED = 3
 
@@ -219,6 +223,13 @@ def test_xi_unchanged_with_preprocessing_off():
     assert plain.value == plumbed.value
     assert [o.status for o in plain.observations] == [o.status for o in plumbed.observations]
     assert [o.cost for o in plain.observations] == [o.cost for o in plumbed.observations]
+
+
+@pytest.mark.parametrize("cipher", ["a51-small", "bivium-small", "grain-small"])
+def test_small_encodings_match_the_reference(cipher):
+    """Default preprocessing (start set frozen) equals the reference walks' result."""
+    instance = _instance(cipher)
+    assert_same_as_reference(instance.cnf, PreprocessConfig(), frozenset(instance.start_set))
 
 
 def test_committed_baseline_meets_the_pr_targets():

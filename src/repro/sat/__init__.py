@@ -20,9 +20,6 @@ from repro.sat.simplify import (
     Preprocessor,
     PreprocessResult,
     PreprocessStats,
-    SimplificationResult,
-    SimplifyConfig,
-    simplify_cnf,
 )
 from repro.sat.solver import SolveResult, SolverBudget, SolverStats, SolverStatus
 
@@ -41,9 +38,6 @@ __all__ = [
     "Preprocessor",
     "PreprocessResult",
     "PreprocessStats",
-    "SimplifyConfig",
-    "SimplificationResult",
-    "simplify_cnf",
     "lit_to_var",
     "neg",
     "var_to_lit",

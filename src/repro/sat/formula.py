@@ -55,7 +55,8 @@ def normalize_clause(literals: Iterable[int]) -> Clause | None:
         if -lit in seen:
             return None
         seen.add(lit)
-    return tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
+    # No two literals left share a variable, so ``abs`` alone orders them.
+    return tuple(sorted(seen, key=abs))
 
 
 @dataclass

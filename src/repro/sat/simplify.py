@@ -32,8 +32,13 @@ below — and returns a :class:`PreprocessResult` carrying the simplified CNF,
 per-rule reduction statistics and a model-reconstruction stack whose
 :meth:`PreprocessResult.reconstruct` turns any model of the simplified formula
 back into a model of the original formula, the way MiniSat's ``extend()``
-does.  :func:`simplify_cnf` is the pre-existing one-shot pipeline, kept for
-the ablation benchmarks.
+does.
+
+Subsumption and self-subsuming resolution find their candidates by
+intersecting occurrence sets, and bounded variable elimination builds each
+resolvent as one literal set, sorting it only once the elimination is
+accepted; ``tests/simplify_reference.py`` keeps the plain walks these
+replace, and the tests check that both give the same result.
 
 The frozen-variable contract
 ----------------------------
@@ -64,340 +69,21 @@ from dataclasses import dataclass, field, fields, replace
 from repro.sat.formula import CNF, Clause, normalize_clause
 
 
-@dataclass
-class SimplifyConfig:
-    """Knobs of the simplification pipeline."""
+def _resolve(first: Clause, second: Clause, variable: int) -> set[int] | None:
+    """The literals of the resolvent of two clauses on ``variable``, unsorted.
 
-    #: Enable subsumption / self-subsuming resolution.
-    subsumption: bool = True
-    #: Enable bounded variable elimination.
-    variable_elimination: bool = True
-    #: Enable blocked clause elimination.
-    blocked_clause_elimination: bool = False
-    #: A variable is eliminated only if the clause count grows by at most this much.
-    max_growth: int = 0
-    #: Never eliminate variables with more than this many occurrences (cost guard).
-    max_occurrences: int = 20
-    #: Variables that must never be eliminated (e.g. decomposition-set candidates).
-    frozen: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.max_occurrences < 1:
-            raise ValueError("max_occurrences must be at least 1")
-
-
-@dataclass
-class SimplificationResult:
-    """Outcome of :func:`simplify_cnf`.
-
-    ``reconstruction`` is a stack of entries, in the order the simplifier
-    removed things, that :meth:`extend_model` replays backwards to turn a model
-    of the simplified formula into a model of the original formula:
-
-    * ``("eliminated", variable, clauses)`` — the clauses that mentioned the
-      variable when bounded variable elimination removed it;
-    * ``("blocked", blocking_literal, (clause,))`` — a clause removed by
-      blocked clause elimination together with its blocking literal.
+    ``None`` when the resolvent is a tautology.  Both clauses are normalised
+    (no repeated or complementary literals), so the resolvent is one only
+    when a literal of ``second`` meets its negation from ``first``.
     """
-
-    cnf: CNF
-    unsat: bool = False
-    fixed: dict[int, bool] = field(default_factory=dict)
-    reconstruction: list[tuple[str, int, tuple[Clause, ...]]] = field(default_factory=list)
-    removed_subsumed: int = 0
-    strengthened: int = 0
-    removed_blocked: int = 0
-
-    @property
-    def eliminated(self) -> list[tuple[int, tuple[Clause, ...]]]:
-        """Eliminated variables with their clause stacks, in elimination order."""
-        return [
-            (variable, clauses)
-            for kind, variable, clauses in self.reconstruction
-            if kind == "eliminated"
-        ]
-
-    @property
-    def num_eliminated_variables(self) -> int:
-        """Number of variables removed by bounded variable elimination."""
-        return len(self.eliminated)
-
-    def extend_model(self, model: dict[int, bool]) -> dict[int, bool]:
-        """Extend a model of the simplified CNF to a model of the original CNF.
-
-        Fixed variables are filled in directly; the reconstruction stack is
-        replayed backwards — eliminated variables get a value satisfying every
-        stored clause, and falsified blocked clauses are repaired by flipping
-        their blocking literal (always sound because every resolvent on that
-        literal is tautological).
-        """
-        extended = dict(model)
-        extended.update(self.fixed)
-        for kind, pivot, clauses in reversed(self.reconstruction):
-            if kind == "eliminated":
-                value_needed: bool | None = None
-                for clause in clauses:
-                    satisfied = False
-                    for lit in clause:
-                        if abs(lit) == pivot:
-                            continue
-                        if extended.get(abs(lit), False) == (lit > 0):
-                            satisfied = True
-                            break
-                    if not satisfied:
-                        polarity = next(lit > 0 for lit in clause if abs(lit) == pivot)
-                        if value_needed is not None and value_needed != polarity:
-                            raise ValueError(
-                                f"cannot extend model: variable {pivot} is over-constrained"
-                            )
-                        value_needed = polarity
-                extended[pivot] = value_needed if value_needed is not None else False
-            else:  # blocked clause: pivot is the blocking literal
-                (clause,) = clauses
-                if not any(extended.get(abs(lit), False) == (lit > 0) for lit in clause):
-                    extended[abs(pivot)] = pivot > 0
-        return extended
-
-
-def _resolve(first: Clause, second: Clause, variable: int) -> Clause | None:
-    """The resolvent of two clauses on ``variable`` (``None`` when tautological)."""
-    merged = [lit for lit in first if abs(lit) != variable]
-    merged.extend(lit for lit in second if abs(lit) != variable)
-    return normalize_clause(merged)
-
-
-class _ClauseDatabase:
-    """Mutable clause set with occurrence lists, used by the simplifier."""
-
-    def __init__(self, cnf: CNF):
-        self.clauses: dict[int, Clause] = {}
-        self.occurrences: dict[int, set[int]] = defaultdict(set)
-        self.unsat = False
-        self._next_id = 0
-        for clause in cnf.clauses:
-            norm = normalize_clause(clause)
-            if norm is None:
-                continue
-            if not norm:
-                self.unsat = True
-                return
-            self.add(norm)
-
-    def add(self, clause: Clause) -> int:
-        """Insert a clause and index its literals; duplicates are kept harmless."""
-        clause_id = self._next_id
-        self._next_id += 1
-        self.clauses[clause_id] = clause
-        for lit in clause:
-            self.occurrences[lit].add(clause_id)
-        return clause_id
-
-    def remove(self, clause_id: int) -> None:
-        """Delete a clause and unindex it."""
-        clause = self.clauses.pop(clause_id)
-        for lit in clause:
-            self.occurrences[lit].discard(clause_id)
-
-    def replace(self, clause_id: int, new_clause: Clause) -> None:
-        """Replace the clause in place (used by self-subsuming strengthening)."""
-        self.remove(clause_id)
-        if not new_clause:
-            self.unsat = True
-            return
-        self.add(new_clause)
-
-    def clauses_with(self, lit: int) -> list[int]:
-        """Ids of clauses currently containing the literal."""
-        return list(self.occurrences[lit])
-
-    def occurrences_of_variable(self, variable: int) -> int:
-        """Number of clauses mentioning the variable in either polarity."""
-        return len(self.occurrences[variable]) + len(self.occurrences[-variable])
-
-    def variables(self) -> set[int]:
-        """Variables occurring in some clause."""
-        return {abs(lit) for lit, ids in self.occurrences.items() if ids}
-
-    def to_cnf(self, num_vars: int) -> CNF:
-        """Materialise the database back into a CNF (stable clause order)."""
-        ordered = [self.clauses[cid] for cid in sorted(self.clauses)]
-        return CNF(ordered, num_vars)
-
-
-def _propagate_units(db: _ClauseDatabase, fixed: dict[int, bool]) -> bool:
-    """Apply every unit clause in ``db``; returns False on conflict."""
-    changed = True
-    while changed and not db.unsat:
-        changed = False
-        for clause_id, clause in list(db.clauses.items()):
-            if clause_id not in db.clauses:
-                continue
-            if len(clause) != 1:
-                continue
-            lit = clause[0]
-            variable, value = abs(lit), lit > 0
-            if variable in fixed and fixed[variable] != value:
-                return False
-            fixed[variable] = value
-            changed = True
-            for sat_id in db.clauses_with(lit):
-                db.remove(sat_id)
-            for shrink_id in db.clauses_with(-lit):
-                shorter = tuple(l for l in db.clauses[shrink_id] if l != -lit)
-                if not shorter:
-                    return False
-                db.replace(shrink_id, shorter)
-    return True
-
-
-def _subsumption_round(db: _ClauseDatabase, result: SimplificationResult) -> bool:
-    """One pass of subsumption + self-subsuming resolution; True when anything changed."""
-    changed = False
-    for clause_id in sorted(db.clauses, key=lambda cid: len(db.clauses.get(cid, ()))):
-        clause = db.clauses.get(clause_id)
-        if clause is None:
-            continue
-        # Candidate superset clauses share the clause's rarest literal.
-        rarest = min(clause, key=lambda lit: len(db.occurrences[lit]))
-        for other_id in db.clauses_with(rarest):
-            if other_id == clause_id:
-                continue
-            other = db.clauses.get(other_id)
-            if other is None or len(other) < len(clause):
-                continue
-            if set(clause) <= set(other):
-                db.remove(other_id)
-                result.removed_subsumed += 1
-                changed = True
-        # Self-subsuming resolution: clause = A ∨ l strengthens A ∨ B ∨ ¬l.
-        for lit in clause:
-            rest = set(clause) - {lit}
-            for other_id in db.clauses_with(-lit):
-                other = db.clauses.get(other_id)
-                if other is None:
-                    continue
-                if rest <= (set(other) - {-lit}):
-                    strengthened = tuple(l for l in other if l != -lit)
-                    db.replace(other_id, strengthened)
-                    result.strengthened += 1
-                    changed = True
-                    if db.unsat:
-                        return True
-    return changed
-
-
-def _try_eliminate_variable(
-    db: _ClauseDatabase, variable: int, config: SimplifyConfig, result: SimplificationResult
-) -> bool:
-    """Eliminate ``variable`` by resolution when the growth bound allows it."""
-    positive_ids = db.clauses_with(variable)
-    negative_ids = db.clauses_with(-variable)
-    if not positive_ids and not negative_ids:
-        return False
-    if len(positive_ids) + len(negative_ids) > config.max_occurrences:
-        return False
-
-    resolvents: list[Clause] = []
-    for pos_id in positive_ids:
-        for neg_id in negative_ids:
-            resolvent = _resolve(db.clauses[pos_id], db.clauses[neg_id], variable)
-            if resolvent is None:
-                continue
-            if not resolvent:
-                db.unsat = True
-                return True
-            resolvents.append(resolvent)
-    if len(resolvents) > len(positive_ids) + len(negative_ids) + config.max_growth:
-        return False
-
-    original = tuple(db.clauses[cid] for cid in positive_ids + negative_ids)
-    for clause_id in positive_ids + negative_ids:
-        db.remove(clause_id)
-    for resolvent in resolvents:
-        db.add(resolvent)
-    result.reconstruction.append(("eliminated", variable, original))
-    return True
-
-
-def _blocked_clause_round(db: _ClauseDatabase, config: SimplifyConfig, result: SimplificationResult) -> bool:
-    """Remove clauses blocked on some literal; True when anything was removed."""
-    changed = False
-    for clause_id, clause in list(db.clauses.items()):
-        if clause_id not in db.clauses:
-            continue
-        for lit in clause:
-            if abs(lit) in config.frozen:
-                continue
-            blocked = True
-            for other_id in db.clauses_with(-lit):
-                if other_id == clause_id:
-                    continue
-                if _resolve(clause, db.clauses[other_id], abs(lit)) is not None:
-                    blocked = False
-                    break
-            if blocked:
-                db.remove(clause_id)
-                result.removed_blocked += 1
-                result.reconstruction.append(("blocked", lit, (clause,)))
-                changed = True
-                break
-    return changed
-
-
-def simplify_cnf(cnf: CNF, config: SimplifyConfig | None = None) -> SimplificationResult:
-    """Run the SatELite-style pipeline on ``cnf`` and return the simplified formula.
-
-    The pipeline alternates unit propagation, subsumption/strengthening,
-    bounded variable elimination and (optionally) blocked clause elimination
-    until a fixed point.  Satisfiability is preserved; use
-    :meth:`SimplificationResult.extend_model` to map models back.
-    """
-    config = config or SimplifyConfig()
-    db = _ClauseDatabase(cnf)
-    result = SimplificationResult(cnf=cnf)
-    if db.unsat:
-        result.unsat = True
-        result.cnf = CNF([()], cnf.num_vars)
-        return result
-
-    fixed: dict[int, bool] = {}
-    changed = True
-    while changed and not db.unsat:
-        changed = False
-        if not _propagate_units(db, fixed):
-            db.unsat = True
-            break
-        if config.subsumption and _subsumption_round(db, result):
-            changed = True
-        if db.unsat:
-            break
-        if config.variable_elimination:
-            for variable in sorted(db.variables()):
-                if variable in config.frozen or variable in fixed:
-                    continue
-                if db.occurrences_of_variable(variable) == 0:
-                    continue
-                if _try_eliminate_variable(db, variable, config, result):
-                    changed = True
-                if db.unsat:
-                    break
-        if db.unsat:
-            break
-        if config.blocked_clause_elimination and _blocked_clause_round(db, config, result):
-            changed = True
-
-    result.fixed = fixed
-    if db.unsat:
-        result.unsat = True
-        result.cnf = CNF([()], cnf.num_vars)
-        return result
-    result.cnf = db.to_cnf(cnf.num_vars)
-    return result
-
-
-# ======================================================================
-# The production preprocessor: frozen-variable aware, reconstruction-complete.
-# ======================================================================
+    merged = set(first)
+    merged.update(second)
+    merged.discard(variable)
+    merged.discard(-variable)
+    for lit in second:
+        if -lit in merged:
+            return None
+    return merged
 
 
 @dataclass(frozen=True)
@@ -948,24 +634,34 @@ class Preprocessor:
         The first pass (``full=True``) considers every clause as a potential
         subsumer; later passes only consider clauses added or strengthened
         since the previous pass (only those can newly subsume anything).
+
+        Each rule visits, in ascending id order, only the clauses that hold
+        two literals every clause passing its test must hold; the others
+        would fail the test, so the removals and strengthenings are those
+        of a walk over the whole occurrence list of one literal.
         """
         config = self.config
+        clauses, occurrences = db.clauses, db.occurrences
         changed = False
-        pool = db.clauses if full else (db.touched & db.clauses.keys())
+        pool = clauses if full else (db.touched & clauses.keys())
         db.touched.clear()
-        order = sorted(pool, key=lambda cid: (len(db.clauses[cid]), cid))
+        order = sorted(pool, key=lambda cid: (len(clauses[cid]), cid))
         for clause_id in order:
-            clause = db.clauses.get(clause_id)
+            clause = clauses.get(clause_id)
             if clause is None:
                 continue
+            # A clause either rule acts on holds every literal of this one
+            # but at most one, so the rarest literals narrow the candidates.
+            ranked = sorted(clause, key=lambda lit: len(occurrences[lit]))
+            literals = set(clause)
             if config.subsumption:
-                # Candidate supersets all contain the clause's rarest literal.
-                rarest = min(clause, key=lambda lit: (len(db.occurrences[lit]), lit))
-                literals = set(clause)
-                for other_id in db.ids_with(rarest):
+                candidates = occurrences[ranked[0]]
+                if len(ranked) > 1:
+                    candidates = candidates & occurrences[ranked[1]]
+                for other_id in sorted(candidates):
                     if other_id == clause_id:
                         continue
-                    other = db.clauses.get(other_id)
+                    other = clauses.get(other_id)
                     if other is None or len(other) < len(clause):
                         continue
                     if literals <= set(other):
@@ -974,9 +670,13 @@ class Preprocessor:
                         changed = True
             if config.self_subsumption:
                 for lit in clause:
-                    rest = set(clause) - {lit}
-                    for other_id in db.ids_with(-lit):
-                        other = db.clauses.get(other_id)
+                    rest = literals - {lit}
+                    candidates = occurrences[-lit]
+                    if rest:
+                        partner = ranked[1] if ranked[0] == lit else ranked[0]
+                        candidates = candidates & occurrences[partner]
+                    for other_id in sorted(candidates):
+                        other = clauses.get(other_id)
                         if other is None or len(other) < len(clause):
                             continue
                         if rest <= set(other) - {-lit}:
@@ -1006,11 +706,12 @@ class Preprocessor:
                 continue
             limit = len(positive) + len(negative) + config.max_growth
             max_length = config.max_resolvent_length
-            resolvents: list[Clause] = []
+            resolvents: list[set[int]] = []
             empty = rejected = False
             for pos_id in positive:
+                first = db.clauses[pos_id]
                 for neg_id in negative:
-                    resolvent = _resolve(db.clauses[pos_id], db.clauses[neg_id], variable)
+                    resolvent = _resolve(first, db.clauses[neg_id], variable)
                     if resolvent is None:
                         continue  # tautology
                     if not resolvent:
@@ -1035,7 +736,8 @@ class Preprocessor:
                 continue
             removed = tuple(db.remove(clause_id) for clause_id in positive + negative)
             for resolvent in resolvents:
-                db.add(resolvent)
+                # normalize_clause's order: no two literals share a variable.
+                db.add(tuple(sorted(resolvent, key=abs)))
             result.reconstruction.append((_ELIMINATED, variable, removed))
             result.stats.eliminated_variables += 1
             changed = True
@@ -1159,8 +861,5 @@ __all__ = [
     "PreprocessResult",
     "PreprocessStats",
     "Preprocessor",
-    "SimplificationResult",
-    "SimplifyConfig",
-    "simplify_cnf",
     "validate_frozen",
 ]

@@ -22,11 +22,7 @@ from repro.stats.sampling import (
     SequentialEstimate,
     StratifiedEstimate,
     bootstrap_confidence_interval,
-    child_rng,
-    child_seed,
-    derive_child_seeds,
     random_bits,
-    sample_bits,
     sequential_estimate,
     stratified_estimate,
 )
@@ -47,9 +43,5 @@ __all__ = [
     "StratifiedEstimate",
     "stratified_estimate",
     "bootstrap_confidence_interval",
-    "child_rng",
-    "child_seed",
-    "derive_child_seeds",
     "random_bits",
-    "sample_bits",
 ]

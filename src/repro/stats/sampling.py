@@ -16,20 +16,12 @@ by the sample-size ablation benchmark and available through the public API):
   separately; with proportional allocation the estimator's variance never
   exceeds plain Monte Carlo and shrinks when the strata differ.
 
-Seed spawn discipline
----------------------
+The random sample
+-----------------
 
-Parallel Monte Carlo estimation must not thread one RNG through concurrently
-executing tasks: the ``j``-th draw would then depend on how many draws every
-other worker has already made, so the sampled trajectory would change with the
-execution interleaving (and with the worker count).  The functions
-:func:`derive_child_seeds` and :func:`child_rng` implement the spawn
-discipline the scheduler (:mod:`repro.runner.scheduler`) relies on instead:
-every task receives its own child seed, derived deterministically from the
-root seed via ``random.Random(seed).getrandbits(64)``, and draws from a
-private ``random.Random(child_seed)``.  Sample ``j`` therefore depends only on
-``(seed, j)`` — never on scheduling order — which is what makes parallel and
-serial estimation produce bit-identical trajectories.
+:func:`random_bits` draws the bits of the random sample (4) of every
+evaluation: exactly the bits, and the generator state, that one
+``rng.randint(0, 1)`` per bit gives, in a fraction of the calls.
 """
 
 from __future__ import annotations
@@ -39,38 +31,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.stats.montecarlo import MonteCarloEstimate, sample_statistics
-
-#: Bit width of spawned child seeds.  64 bits keeps the collision probability
-#: over any realistic task count negligible (~2^-24 at a billion tasks).
-CHILD_SEED_BITS = 64
-
-
-def derive_child_seeds(seed: int, count: int) -> list[int]:
-    """Spawn ``count`` independent child seeds from one root seed.
-
-    The spawn discipline is ``random.Random(seed).getrandbits(64)`` repeated:
-    child ``j`` is the ``j``-th 64-bit draw from a generator seeded with the
-    root seed alone, so the sequence is a pure function of ``seed`` —
-    independent of ``PYTHONHASHSEED``, platform, and of whichever child
-    streams are actually consumed, in which order, by which worker.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    root = random.Random(seed)
-    return [root.getrandbits(CHILD_SEED_BITS) for _ in range(count)]
-
-
-def child_seed(seed: int, index: int) -> int:
-    """The ``index``-th child seed of ``seed`` (see :func:`derive_child_seeds`)."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    return derive_child_seeds(seed, index + 1)[index]
-
-
-def child_rng(seed: int, index: int) -> random.Random:
-    """A private RNG for task ``index``, seeded by the spawn discipline."""
-    return random.Random(child_seed(seed, index))
-
 
 #: ``random.Random.getrandbits(2)`` is the top two bits of one 32-bit word of
 #: the generator's stream; a word whose top byte is below 128 gives the bit
@@ -91,8 +51,7 @@ def random_bits(rng: random.Random, width: int) -> tuple[int, ...]:
     it would have redrawn, so no word past the last accepted one is drawn.
     The rows of :meth:`DecompositionSet.random_sample
     <repro.core.decomposition.DecompositionSet.random_sample>` (the random
-    sample (4) of every evaluation, drawn in one call) and
-    :func:`sample_bits` come from here.
+    sample (4) of every evaluation, drawn in one call) come from here.
     """
     bits = b""
     while len(bits) < width:
@@ -100,19 +59,6 @@ def random_bits(rng: random.Random, width: int) -> tuple[int, ...]:
         words = rng.getrandbits(need << 5).to_bytes(need << 2, "little")
         bits += words[3::4].translate(_BIT_OF_TOP_BYTE, _REDRAWN_TOP_BYTES)
     return tuple(bits)
-
-
-def sample_bits(task_seed: int, width: int) -> tuple[int, ...]:
-    """Draw one task's uniform bit vector of length ``width`` from its child seed.
-
-    The bits of sample ``j`` are a pure function of its child seed
-    (``derive_child_seeds(root, n)[j]``), so a parallel run samples exactly
-    the assignments a serial run would, regardless of completion order or
-    worker count.
-    """
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    return random_bits(random.Random(task_seed), width)
 
 
 def bootstrap_confidence_interval(

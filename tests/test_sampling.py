@@ -150,41 +150,19 @@ def test_property_stratified_mean_is_weighted_average(first, second):
 
 
 class TestSeedSpawnDiscipline:
-    """Regression pins for the parallel-estimation seed derivation.
+    """Regression pins for the draw behind every random sample.
 
-    The exact child-seed and sample-bit sequences are part of the scheduler's
-    reproducibility contract (parallel and serial estimation must sample the
-    same trajectories), so they are pinned to literal values: any change to
-    the spawn discipline is a breaking change and must fail here first.
+    The sampled bits are part of every estimate's reproducibility contract,
+    so they are pinned to literal values: any change to the draw is a
+    breaking change and must fail here first.
     """
 
-    def test_child_seeds_are_pinned(self):
-        from repro.stats.sampling import derive_child_seeds
-
-        assert derive_child_seeds(0, 4) == [
-            7106521602475165645,
-            16422101724900707500,
-            746805015404516437,
-            17809683713383489082,
-        ]
-        assert derive_child_seeds(42, 3) == [
-            2053695854357871005,
-            13679192365072849617,
-            4517457392071889495,
-        ]
-
-    def test_child_seed_indexing_matches_the_sequence(self):
-        from repro.stats.sampling import child_seed, derive_child_seeds
-
-        seeds = derive_child_seeds(7, 6)
-        assert [child_seed(7, index) for index in range(6)] == seeds
-        with pytest.raises(ValueError):
-            child_seed(7, -1)
-
     def test_sample_bits_are_pinned(self):
-        from repro.stats.sampling import derive_child_seeds, sample_bits
+        from repro.stats.sampling import random_bits
 
-        bits = [sample_bits(seed, 6) for seed in derive_child_seeds(7, 3)]
+        # The first three 64-bit words of random.Random(7).
+        seeds = [17485029721327973432, 7283207964119141687, 890727360438182992]
+        bits = [random_bits(random.Random(seed), 6) for seed in seeds]
         assert bits == [
             (1, 1, 0, 1, 1, 1),
             (0, 0, 1, 0, 1, 0),
@@ -213,24 +191,6 @@ class TestSeedSpawnDiscipline:
                 expected = tuple(reference.randint(0, 1) for _ in range(width))
                 assert random_bits(fast, width) == expected
             assert fast.getstate() == reference.getstate()
-
-    def test_child_streams_are_independent_of_consumption_order(self):
-        from repro.stats.sampling import child_rng, derive_child_seeds
-
-        seeds = derive_child_seeds(3, 5)
-        forward = [child_rng(3, index).random() for index in range(5)]
-        backward = [child_rng(3, index).random() for index in reversed(range(5))]
-        assert forward == list(reversed(backward))
-        # And re-deriving a prefix never changes earlier children.
-        assert derive_child_seeds(3, 2) == seeds[:2]
-
-    def test_validation(self):
-        from repro.stats.sampling import derive_child_seeds, sample_bits
-
-        with pytest.raises(ValueError):
-            derive_child_seeds(0, -1)
-        with pytest.raises(ValueError):
-            sample_bits(0, -2)
 
     def test_merge_many_folds_in_given_order(self):
         from repro.stats.montecarlo import OnlineStatistics, merge_many

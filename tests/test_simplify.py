@@ -1,144 +1,138 @@
-"""Tests for the SatELite-style simplifier (subsumption, self-subsumption, BVE, BCE)."""
+"""Tests for the SatELite-style preprocessor (UP, pure literals, subsumption, BVE, probing, BCE)."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from simplify_reference import assert_same_as_reference
 
 from repro.sat.cdcl import CDCLSolver
+from repro.sat.cdcl.config import CDCLConfig
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import pigeonhole, planted_ksat, random_ksat
-from repro.sat.simplify import SimplifyConfig, simplify_cnf
+from repro.sat.simplify import PreprocessConfig, Preprocessor, PreprocessResult
 from repro.sat.solver import check_model
+
+#: Subsumption and self-subsumption alone (no elimination, no pure literals).
+SUBSUMPTION_ONLY = PreprocessConfig(variable_elimination=False, pure_literals=False)
+#: Blocked clause elimination alone, after unit propagation.
+BCE_ONLY = PreprocessConfig(
+    subsumption=False, self_subsumption=False, variable_elimination=False,
+    pure_literals=False, blocked_clause_elimination=True,
+)
 
 
 def _solve_status(cnf):
     return CDCLSolver().solve(cnf).status
 
 
+def _full_model(cnf, model):
+    return {v: model.get(v, False) for v in range(1, cnf.num_vars + 1)}
+
+
+# Each rule on a small formula where it fires; every result here must also
+# equal the reference walks' (tests/simplify_reference.py).
+
+
 class TestSubsumption:
     def test_subsumed_clause_removed(self):
-        cnf = CNF([(1, 2), (1, 2, 3), (4, 5)])
-        result = simplify_cnf(cnf, SimplifyConfig(variable_elimination=False))
-        assert result.removed_subsumed >= 1
+        result = assert_same_as_reference(CNF([(1, 2), (1, 2, 3), (4, 5)]), SUBSUMPTION_ONLY)
+        assert result.stats.subsumed >= 1
         assert (1, 2, 3) not in result.cnf.clauses
 
     def test_self_subsumption_strengthens(self):
         # (1 2) and (-1 2 3): resolving on 1 gives (2 3) ⊆ (-1 2 3) minus -1,
         # so the long clause is strengthened to (2 3).
-        cnf = CNF([(1, 2), (-1, 2, 3)])
-        result = simplify_cnf(cnf, SimplifyConfig(variable_elimination=False))
-        assert result.strengthened >= 1
+        result = assert_same_as_reference(CNF([(1, 2), (-1, 2, 3)]), SUBSUMPTION_ONLY)
+        assert result.stats.strengthened >= 1
         assert all(len(clause) <= 2 for clause in result.cnf.clauses)
 
     def test_duplicate_clauses_collapse(self):
-        cnf = CNF([(1, 2), (2, 1), (1, 2)])
-        result = simplify_cnf(cnf, SimplifyConfig(variable_elimination=False))
+        result = assert_same_as_reference(CNF([(1, 2), (2, 1), (1, 2)]), SUBSUMPTION_ONLY)
         assert result.cnf.num_clauses == 1
 
 
 class TestVariableElimination:
     def test_pure_variable_is_eliminated(self):
         cnf = CNF([(1, 2), (1, 3), (2, 4), (-2, -4, 3)])
-        result = simplify_cnf(cnf)
-        assert result.num_eliminated_variables >= 1
+        result = assert_same_as_reference(cnf, PreprocessConfig())
+        assert result.stats.eliminated_variables >= 1
 
     def test_growth_bound_respected(self):
         # Variable 1 occurs in 3 positive and 3 negative clauses: eliminating it
         # would produce up to 9 resolvents; with max_growth=0 it must stay.
         clauses = [(1, 2), (1, 3), (1, 4), (-1, 5), (-1, 6), (-1, 7), (2, 5), (3, 6)]
-        cnf = CNF(clauses)
-        result = simplify_cnf(
-            cnf, SimplifyConfig(subsumption=False, max_growth=0, max_occurrences=100)
+        config = PreprocessConfig(
+            subsumption=False, self_subsumption=False, pure_literals=False,
+            max_growth=0, max_occurrences=100,
         )
-        eliminated_vars = {var for var, _ in result.eliminated}
-        assert 1 not in eliminated_vars
+        result = assert_same_as_reference(CNF(clauses), config)
+        assert 1 not in result.eliminated_variables
 
     def test_frozen_variables_are_kept(self):
         cnf = CNF([(1, 2), (-1, 3), (2, 3)])
-        result = simplify_cnf(cnf, SimplifyConfig(frozen=frozenset({1})))
-        eliminated_vars = {var for var, _ in result.eliminated}
-        assert 1 not in eliminated_vars
+        result = assert_same_as_reference(cnf, PreprocessConfig(), frozen={1})
+        assert 1 not in result.eliminated_variables
 
     def test_model_extension_covers_eliminated_variables(self):
         cnf, _ = planted_ksat(12, 40, seed=3)
-        result = simplify_cnf(cnf, SimplifyConfig(max_growth=4, max_occurrences=50))
+        result = assert_same_as_reference(cnf, PreprocessConfig(max_growth=4, max_occurrences=50))
         assert not result.unsat
         solved = CDCLSolver().solve(result.cnf)
         assert solved.is_sat
-        extended = result.extend_model(solved.model)
-        assert check_model(cnf, {v: extended.get(v, False) for v in range(1, cnf.num_vars + 1)})
+        assert check_model(cnf, _full_model(cnf, result.reconstruct(solved.model)))
 
 
 class TestBlockedClauses:
     def test_blocked_clause_removed(self):
         # (1 2) is blocked on 1: the only clause with -1 is (-1 -2) and the
         # resolvent (2 -2) is a tautology.
-        cnf = CNF([(1, 2), (-1, -2), (2, 3)])
-        result = simplify_cnf(
-            cnf,
-            SimplifyConfig(
-                subsumption=False,
-                variable_elimination=False,
-                blocked_clause_elimination=True,
-            ),
-        )
-        assert result.removed_blocked >= 1
+        result = assert_same_as_reference(CNF([(1, 2), (-1, -2), (2, 3)]), BCE_ONLY)
+        assert result.stats.blocked_clauses >= 1
 
     def test_bce_preserves_satisfiability_and_extends_models(self):
         cnf, _ = planted_ksat(10, 30, seed=9)
-        result = simplify_cnf(
-            cnf,
-            SimplifyConfig(
-                subsumption=False,
-                variable_elimination=False,
-                blocked_clause_elimination=True,
-            ),
-        )
+        result = assert_same_as_reference(cnf, BCE_ONLY)
         solved = CDCLSolver().solve(result.cnf)
         assert solved.is_sat
-        extended = result.extend_model(solved.model)
-        assert check_model(cnf, {v: extended.get(v, False) for v in range(1, cnf.num_vars + 1)})
+        assert check_model(cnf, _full_model(cnf, result.reconstruct(solved.model)))
 
 
 class TestPipeline:
     def test_unsat_input_detected(self):
-        cnf = CNF([(1,), (-1,)])
-        result = simplify_cnf(cnf)
-        assert result.unsat
+        assert assert_same_as_reference(CNF([(1,), (-1,)]), PreprocessConfig()).unsat
 
     def test_empty_clause_detected(self):
-        result = simplify_cnf(CNF([()]))
-        assert result.unsat
+        assert assert_same_as_reference(CNF([()]), PreprocessConfig()).unsat
 
     def test_unit_clauses_become_fixed_assignments(self):
-        cnf = CNF([(1,), (-1, 2), (2, 3)])
-        result = simplify_cnf(cnf)
+        result = assert_same_as_reference(CNF([(1,), (-1, 2), (2, 3)]), PreprocessConfig())
         assert result.fixed.get(1) is True
         assert result.fixed.get(2) is True
 
     def test_satisfiable_formula_stays_satisfiable(self):
         cnf, _ = planted_ksat(15, 50, seed=1)
-        result = simplify_cnf(cnf)
+        result = assert_same_as_reference(cnf, PreprocessConfig())
         assert not result.unsat
         assert _solve_status(result.cnf) == _solve_status(cnf)
 
     def test_unsatisfiable_formula_stays_unsatisfiable(self):
-        cnf = pigeonhole(3)
-        result = simplify_cnf(cnf)
+        result = assert_same_as_reference(pigeonhole(3), PreprocessConfig())
         if not result.unsat:
             assert CDCLSolver().solve(result.cnf).is_unsat
 
     def test_simplified_formula_is_smaller_or_equal(self):
         cnf = random_ksat(20, 85, seed=4)
-        result = simplify_cnf(cnf)
+        result = assert_same_as_reference(cnf, PreprocessConfig())
         if not result.unsat:
-            assert result.cnf.num_clauses <= cnf.num_clauses + result.num_eliminated_variables * 2
+            assert result.cnf.num_clauses <= cnf.num_clauses + len(result.eliminated_variables) * 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimplifyConfig(max_occurrences=0)
+            PreprocessConfig(max_occurrences=0)
+        with pytest.raises(ValueError):
+            PreprocessConfig(max_rounds=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -146,16 +140,14 @@ class TestPipeline:
 def test_property_simplification_preserves_satisfiability(seed, num_clauses):
     cnf = random_ksat(10, num_clauses, seed=seed)
     reference = CDCLSolver().solve(cnf)
-    result = simplify_cnf(cnf, SimplifyConfig(max_growth=2))
+    result = Preprocessor(max_growth=2).preprocess(cnf)
     if result.unsat:
         assert reference.is_unsat
     else:
         simplified = CDCLSolver().solve(result.cnf)
         assert simplified.status == reference.status
         if simplified.is_sat:
-            extended = result.extend_model(simplified.model)
-            full = {v: extended.get(v, False) for v in range(1, cnf.num_vars + 1)}
-            assert check_model(cnf, full)
+            assert check_model(cnf, _full_model(cnf, result.reconstruct(simplified.model)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -163,34 +155,11 @@ def test_property_simplification_preserves_satisfiability(seed, num_clauses):
 def test_property_bce_preserves_satisfiability(seed):
     cnf = random_ksat(9, 32, seed=seed)
     reference = CDCLSolver().solve(cnf)
-    result = simplify_cnf(
-        cnf,
-        SimplifyConfig(
-            subsumption=False, variable_elimination=False, blocked_clause_elimination=True
-        ),
-    )
+    result = Preprocessor(BCE_ONLY).preprocess(cnf)
     simplified = CDCLSolver().solve(result.cnf)
     assert simplified.status == reference.status
     if simplified.is_sat:
-        extended = result.extend_model(simplified.model)
-        full = {v: extended.get(v, False) for v in range(1, cnf.num_vars + 1)}
-        assert check_model(cnf, full)
-
-
-# ======================================================================
-# The production Preprocessor (PR 5): per-rule units + integration contract.
-# ======================================================================
-
-from repro.sat.cdcl.config import CDCLConfig  # noqa: E402
-from repro.sat.simplify import (  # noqa: E402
-    PreprocessConfig,
-    Preprocessor,
-    PreprocessResult,
-)
-
-
-def _full_model(cnf, model):
-    return {v: model.get(v, False) for v in range(1, cnf.num_vars + 1)}
+        assert check_model(cnf, _full_model(cnf, result.reconstruct(simplified.model)))
 
 
 class TestPreprocessorUnitPropagation:

@@ -17,9 +17,9 @@ finish, so progress events stay about a quarter of a second apart however
 slow the rows are — except on the simulated cluster, whose virtual clock
 charges each sub-problem to a core, where every chunk holds one row.  A
 chunk is one ``solve_batch`` call — bit-identical to fresh solves — when
-the solver has it and ``simplify`` is off, and one fresh solve per row
-otherwise; progress events and checkpoint records stay one per
-sub-problem.  :class:`SubproblemOutcome` — with :func:`encode_outcome` /
+the solver has it, and one fresh solve per row otherwise; progress
+events and checkpoint records stay one per sub-problem.
+:class:`SubproblemOutcome` — with :func:`encode_outcome` /
 :func:`decode_outcome`, its checkpoint format — is the one outcome type of
 that path, defined in :mod:`repro.runner.pool` and re-exported here.
 
@@ -401,15 +401,15 @@ class SerialBackend:
 
     The family travels in chunks, each solved by one ``solve_batch`` call on
     a solver loaded once per run (row by row, fresh, for a solver without
-    ``solve_batch`` or with ``simplify`` on): the first chunk holds one row,
-    and each next one twice as many as the last, up to 64 — fewer when the
-    last one took more than an eighth of a second, so that progress events
-    (where a caller can stop the run) stay about a quarter of a second
-    apart.  The scheduler's ``dispatches`` (and trace task events) count
-    chunks; progress events, checkpoint records and ``checkpoint_every``
-    stay per sub-problem, and every status, cost and model equals a fresh
-    solve of that row.  ``stop_on_sat`` solves no chunk after the first one
-    that holds a satisfiable row, and reports the outcomes up to that row.
+    ``solve_batch``): the first chunk holds one row, and each next one twice
+    as many as the last, up to 64 — fewer when the last one took more than
+    an eighth of a second, so that progress events (where a caller can stop
+    the run) stay about a quarter of a second apart.  The scheduler's
+    ``dispatches`` (and trace task events) count chunks; progress events,
+    checkpoint records and ``checkpoint_every`` stay per sub-problem, and
+    every status, cost and model equals a fresh solve of that row.
+    ``stop_on_sat`` solves no chunk after the first one that holds a
+    satisfiable row, and reports the outcomes up to that row.
     """
 
     name = "serial"
@@ -455,14 +455,13 @@ class ProcessPoolBackend:
     backend's rule, so each chunk is sized from the pace of the last one to
     finish and progress events stay about a quarter of a second apart; each
     chunk is one ``solve_batch`` call on a solver loaded once per worker
-    (row by row, fresh, for a solver without ``solve_batch`` or with
-    ``simplify`` on).  The scheduler's ``dispatches`` (and trace task
-    events) count chunks, and depend on the measured pace; progress events,
-    checkpoint records and ``checkpoint_every`` stay per sub-problem, and
-    every status, cost and model equals a fresh solve of that row.
-    ``stop_on_sat`` is emulated by truncating the outcome list at the first
-    satisfiable sub-problem, which reproduces exactly what the serial
-    backend would have reported.
+    (row by row, fresh, for a solver without ``solve_batch``).  The
+    scheduler's ``dispatches`` (and trace task events) count chunks, and
+    depend on the measured pace; progress events, checkpoint records and
+    ``checkpoint_every`` stay per sub-problem, and every status, cost and
+    model equals a fresh solve of that row.  ``stop_on_sat`` is emulated by
+    truncating the outcome list at the first satisfiable sub-problem, which
+    reproduces exactly what the serial backend would have reported.
 
     :meth:`pool` opens the worker processes ahead of the family, so that one
     facade call runs both PDSAT modes on one pool: the estimating mode's

@@ -178,7 +178,6 @@ class EstimatorSpec:
         cnf: "CNF",
         solver: "Solver | None" = None,
         seed: int = 0,
-        frozen_variables=None,
     ) -> "PredictiveFunction":
         """Materialise the evaluator for ``cnf``.
 
@@ -190,9 +189,7 @@ class EstimatorSpec:
         solvers without ``solve_batch`` — that downgrade emits a
         ``RuntimeWarning`` and is recorded on the returned evaluator
         (``requested_batch_size`` vs ``batch_size``), so callers asking for
-        batching learn they did not get it.  ``frozen_variables`` is the
-        decomposition superset forwarded to preprocessing-aware solvers (see
-        :class:`~repro.core.predictive.PredictiveFunction`).
+        batching learn they did not get it.
         """
         from repro.core.predictive import PredictiveFunction, supports_incremental_solving
         from repro.sat.cdcl import CDCLSolver
@@ -224,7 +221,6 @@ class EstimatorSpec:
                 and supports_incremental_solving(solver, self.substitution_mode)
             ),
             sample_cache_size=self.sample_cache_size,
-            frozen_variables=frozen_variables,
             batch_size=batch_size,
         )
         evaluator.requested_batch_size = self.batch_size

@@ -190,22 +190,19 @@ class PDSAT:
         self.seed = seed
         self.preprocessor = preprocessor
         self.presolve = None
-        frozen = frozenset(instance.start_set) | frozenset(frozen_variables or ())
         cnf = instance.cnf
         if preprocessor is not None:
+            frozen = frozenset(instance.start_set) | frozenset(frozen_variables or ())
             self.presolve = preprocessor.preprocess(cnf, frozen=frozen)
             cnf = self.presolve.cnf
         #: The working formula of both modes: the instance CNF, simplified
         #: when a preprocessor was given (same variable numbering either way).
         self.cnf = cnf
-        frozen_variables = sorted(frozen)
         if estimator is not None:
             self.sample_size = estimator.sample_size
             self.cost_measure = estimator.cost_measure
             self.subproblem_budget = estimator.budget()
-            self.evaluator = estimator.build(
-                self.cnf, solver=self.solver.build(), seed=seed, frozen_variables=frozen_variables
-            )
+            self.evaluator = estimator.build(self.cnf, solver=self.solver.build(), seed=seed)
         else:
             self.sample_size = sample_size
             self.cost_measure = cost_measure
@@ -217,7 +214,6 @@ class PDSAT:
                 cost_measure=cost_measure,
                 seed=seed,
                 subproblem_budget=subproblem_budget,
-                frozen_variables=frozen_variables,
             )
         base_vars = instance.free_start_variables or instance.start_set
         self.search_space = SearchSpace(base_vars)

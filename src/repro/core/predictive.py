@@ -239,17 +239,6 @@ class PredictiveFunction:
     sample_cache_size:
         Capacity of the sample-result LRU cache keyed by (decomposition set,
         assignment); ``None`` or 0 disables it.
-    frozen_variables:
-        Variables that may ever appear in a decomposition set (the
-        decomposition superset — PDSAT passes the instance's start set).
-        Forwarded as the ``frozen`` set to preprocessing-aware solvers
-        (``CDCLConfig.simplify``) so assumption candidates are never
-        eliminated.  The set is grown lazily with every evaluated
-        decomposition; if a preprocessing solver already eliminated a variable
-        a later decomposition needs, the formula is re-loaded with the
-        enlarged frozen set (losing retained learned clauses —
-        ``num_freeze_reloads`` counts these).  Irrelevant for solvers without
-        preprocessing.
     batch_size:
         Rows per ``solve_batch`` call of the batched engine (1: the scalar
         engines).  A batched evaluator solves on :attr:`pool` while one is
@@ -269,7 +258,6 @@ class PredictiveFunction:
         confidence_level: float = 0.95,
         incremental: bool = False,
         sample_cache_size: int | None = 4096,
-        frozen_variables: Iterable[int] | None = None,
         batch_size: int = 1,
     ):
         if substitution_mode not in ("assumptions", "units"):
@@ -321,24 +309,6 @@ class PredictiveFunction:
         #: and records the request here, so run metadata can report the
         #: downgrade instead of hiding it.
         self.requested_batch_size = self.batch_size
-        self.frozen_variables = frozenset(frozen_variables or ())
-        #: Every variable ever named by an evaluated decomposition set (the
-        #: "assumption candidates" of the incremental contract), seeded from
-        #: ``frozen_variables`` and grown lazily per evaluation.
-        self._assumption_candidates: set[int] = set(self.frozen_variables)
-        self._load_accepts_frozen = False
-        if hasattr(self.solver, "load"):
-            try:
-                import inspect
-
-                self._load_accepts_frozen = (
-                    "frozen" in inspect.signature(self.solver.load).parameters
-                )
-            except (TypeError, ValueError):  # builtins / C-level callables
-                self._load_accepts_frozen = False
-        #: Re-loads forced by a decomposition naming a preprocessed-away
-        #: variable (each one discards the solver's retained learned clauses).
-        self.num_freeze_reloads = 0
 
         self._cache: dict[frozenset[int], PredictionResult] = {}
         #: Sample-result LRU cache: assumption-literal tuple -> (observation,
@@ -373,20 +343,6 @@ class PredictiveFunction:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if self.incremental:
-            self._assumption_candidates.update(dec.variables)
-            unassumable = getattr(self.solver, "unassumable_variables", frozenset())
-            if (
-                self.solver.loaded_cnf is self.cnf
-                and unassumable
-                and not unassumable.isdisjoint(dec.variables)
-            ):
-                # A preprocessing solver eliminated (or root-fixed outside the
-                # frozen set) a variable this decomposition assumes: rebuild
-                # with the enlarged frozen set.
-                self.num_freeze_reloads += 1
-                self._load_solver()
-
         start = time.perf_counter()
         observations: list[SampleObservation] = []
         activity: dict[int, float] = {}
@@ -454,13 +410,6 @@ class PredictiveFunction:
         return list(self._cache.values())
 
     # ------------------------------------------------------------------ internals
-    def _load_solver(self) -> None:
-        """Load the CNF into the incremental solver, freezing every candidate."""
-        if self._load_accepts_frozen:
-            self.solver.load(self.cnf, frozen=sorted(self._assumption_candidates))
-        else:
-            self.solver.load(self.cnf)
-
     def _solve_sample(
         self, sample: list[SampleRow], dec: DecompositionSet
     ) -> list[tuple[SampleObservation, dict[int, float]]]:
@@ -576,7 +525,7 @@ class PredictiveFunction:
             return self.solver.solve(sub, budget=budget)
         if self.incremental:
             if self.solver.loaded_cnf is not self.cnf:
-                self._load_solver()
+                self.solver.load(self.cnf)
             return self.solver.solve(assumptions=literals, budget=budget)
         return self.solver.solve(self.cnf, assumptions=literals, budget=budget)
 

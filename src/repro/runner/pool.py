@@ -11,8 +11,8 @@ decomposition family in solving mode.  That one job is written once here:
   :class:`SubproblemOutcome` records.  Every task carries a tuple of rows —
   a chunk of a family on any backend, or a worker's share of a sample —
   solved together by ``solve_batch`` on a solver loaded once per thread
-  when the solver has it and ``simplify`` is off, and otherwise row by row,
-  each by a fresh ``solve(cnf, row)``.
+  when the solver has it, and otherwise row by row, each by a fresh
+  ``solve(cnf, row)``.
 * :func:`worker_executor` is the one executor factory: serial (inline),
   real process pool (:func:`process_executor`) or simulated virtual-clock
   cluster, each running the same kernel.  Every execution backend
@@ -84,9 +84,9 @@ def sampled_row(result: SolveResult, measure: Callable[[SolverStats], float]) ->
         result.status,
         measure(result.stats),
         result.stats.wall_time,
-        # Only nonzero bumps: a dense per-variable dict would dominate the
-        # memory of the evaluator's sample cache.
-        {var: act for var, act in result.conflict_activity.items() if act > 0.0},
+        # The solver reports nonzero activity only, so the evaluator's sample
+        # cache holds no per-variable zeros.
+        result.conflict_activity,
     )
 
 
@@ -143,9 +143,7 @@ class WorkerState:
     ``solver_options`` here, so an unknown name or option fails in the
     caller, not in a worker.  Every task is a tuple of rows, and
     :attr:`solves_in_batches` tells whether one ``solve_batch`` call solves
-    each tuple: it needs a solver that has ``solve_batch`` and no per-call
-    ``simplify``, whose preprocessed database would depend on each row's
-    frozen variables.
+    each tuple: it does when the solver has ``solve_batch``.
 
     Pickling a state yields a reference to the copy
     :func:`worker_executor`'s pool initializer installed in the worker
@@ -169,9 +167,7 @@ class WorkerState:
         self._factory = get_solver(solver)
         probe = self._factory(**self.options)
         #: Whether a task's tuple of rows is solved by one ``solve_batch`` call.
-        self.solves_in_batches = (
-            hasattr(probe, "solve_batch") and not self.options.get("simplify")
-        )
+        self.solves_in_batches = hasattr(probe, "solve_batch")
         self._local = threading.local()
 
     def __call__(self, payload):

@@ -64,13 +64,6 @@ def _validate_rows(rows, num_vars: int) -> None:
 def solve_batch_rows(solver, assumption_rows, budget=None, trace=None):
     """Backend of :meth:`CDCLSolver.solve_batch`; see the module docstring."""
     started = time.perf_counter()
-    if solver.config.simplify:
-        raise ValueError(
-            "solve_batch requires config.simplify=False: a preprocessed "
-            "database depends on the per-call frozen set, which has no "
-            "single-formula meaning across a batch; preprocess the CNF "
-            "first and batch on the simplified formula"
-        )
     rows = [tuple(row) for row in assumption_rows]
     if not rows:
         return []
@@ -373,9 +366,7 @@ class _LockstepBatch:
                 status=SolverStatus.UNSAT,
                 model=None,
                 stats=stats,
-                conflict_activity={
-                    v: 0.0 for v in range(1, solver._num_vars + 1)
-                },
+                conflict_activity={},
             )
 
         stats.propagations = len(self.root_derived)
@@ -424,7 +415,7 @@ class _LockstepBatch:
             status=status,
             model=model,
             stats=stats,
-            conflict_activity={v: 0.0 for v in range(1, solver._num_vars + 1)},
+            conflict_activity={},
         )
 
 

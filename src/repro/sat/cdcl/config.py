@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 @dataclass
 class CDCLConfig:
-    """Tunable parameters of the CDCL solver."""
+    """Tunable parameters of the CDCL solver.
+
+    Preprocessing is not among them: PDSAT simplifies the instance once,
+    before either mode runs (``ExperimentConfig.preprocessor``), and
+    :meth:`~repro.sat.cdcl.solver.CDCLSolver.inprocess` re-simplifies a
+    loaded database on request.
+    """
 
     var_decay: float = 0.95
     clause_decay: float = 0.999
@@ -28,17 +34,6 @@ class CDCLConfig:
     #: below this value are "glue" clauses: the arena engine's database
     #: reduction never deletes them.
     glue_lbd: int = 2
-    #: Run the SatELite-style preprocessor (:class:`repro.sat.simplify.Preprocessor`)
-    #: inside :meth:`~repro.sat.cdcl.solver.CDCLSolver.load`: the internal
-    #: clause database is built from the simplified formula, SAT models are
-    #: reconstructed back over the original variables, and variables passed via
-    #: ``load(..., frozen=...)`` are never eliminated (so they stay legal
-    #: assumption candidates — the incremental contract).  Off by default: the
-    #: simplified formula's solver counters define a *different* ξ random
-    #: variable than the paper's, and on some instances eliminating
-    #: propagation-relay variables slows the incremental engine down (see
-    #: ``docs/preprocessing.md``).
-    simplify: bool = False
     #: Use the word-parallel lockstep root-propagation engine inside
     #: :meth:`~repro.sat.cdcl.solver.CDCLSolver.solve_batch`: assumption
     #: columns of a whole batch propagate together, one big-int bit per

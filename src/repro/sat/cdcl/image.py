@@ -58,20 +58,11 @@ class ArenaImage:
     def freeze(cls, cnf: CNF, config=None) -> "ArenaImage":
         """Build the formula's clause database once and freeze it.
 
-        ``config`` must not enable ``simplify``: a preprocessing solver's
-        database depends on the per-call frozen set, which has no meaning in a
-        shared one-formula image (pre-simplify the CNF instead and freeze the
-        result).
+        The image holds ``cnf`` as given: a run that preprocesses freezes the
+        simplified formula.
         """
-        from repro.sat.cdcl.config import CDCLConfig
         from repro.sat.cdcl.solver import CDCLSolver
 
-        config = config or CDCLConfig()
-        if config.simplify:
-            raise ValueError(
-                "ArenaImage.freeze requires config.simplify=False; "
-                "preprocess the CNF first and freeze the simplified formula"
-            )
         solver = CDCLSolver(config).load(cnf)
         arena = solver._arena
         crefs = solver._clauses

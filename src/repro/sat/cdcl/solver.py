@@ -71,6 +71,7 @@ which keeps one-shot runs deterministic and bit-for-bit repeatable.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections.abc import Sequence
 
@@ -107,11 +108,8 @@ class CDCLSolver:
         #: ``None`` before the first ``load``/``solve``.  The batched Monte
         #: Carlo engine checks this to decide whether a re-load is needed.
         self.loaded_cnf: CNF | None = None
-        #: Custom :class:`~repro.sat.simplify.Preprocessor` used when
-        #: ``config.simplify`` is on; ``None`` means the registry default.
-        self.preprocessor = None
-        #: The :class:`~repro.sat.simplify.PreprocessResult` of the last
-        #: :meth:`load` (``None`` when preprocessing is off).
+        #: The (chained) :class:`~repro.sat.simplify.PreprocessResult` of the
+        #: :meth:`inprocess` calls since the last load (``None`` before one).
         self._presolve = None
         #: Persistent event sink (:class:`repro.trace.format.TraceWriter` or
         #: anything with its event methods); ``None`` keeps tracing off.  A
@@ -142,26 +140,24 @@ class CDCLSolver:
     # ------------------------------------------------------------------ public
     @property
     def presolve(self):
-        """The preprocessing record of the loaded formula (``None`` when off)."""
+        """The inprocessing record of the loaded formula (``None`` before :meth:`inprocess`)."""
         return self._presolve
 
     @property
     def eliminated_variables(self) -> frozenset[int]:
-        """Variables removed by preprocessing (empty when ``simplify`` is off)."""
+        """Variables removed by :meth:`inprocess` (empty before it runs)."""
         return self._presolve.eliminated_variables if self._presolve is not None else frozenset()
 
     @property
     def unassumable_variables(self) -> frozenset[int]:
-        """Variables illegal as assumptions after preprocessing.
+        """Variables illegal as assumptions after :meth:`inprocess`.
 
         Eliminated variables plus non-frozen root-fixed ones — either way
         their clauses are gone from the internal database, so an assumption
         against them could come back SAT on a formula the original refutes.
-        Empty when ``config.simplify`` is off, and empty when preprocessing
+        Empty before :meth:`inprocess` runs, and empty when inprocessing
         refuted the formula outright (every solve then answers UNSAT, which is
-        sound under any assumptions).  The batched Monte Carlo engine checks
-        this set to decide whether a decomposition needs a re-load with an
-        enlarged frozen set.
+        sound under any assumptions).
         """
         if self._presolve is None or self._presolve.unsat:
             return frozenset()
@@ -175,27 +171,17 @@ class CDCLSolver:
         activities and saved phases across calls.  Returns ``self`` so the
         idiom ``CDCLSolver().load(cnf)`` works.
 
-        With ``config.simplify`` the formula is first run through the
-        SatELite-style preprocessor; ``frozen`` names the variables that must
-        survive simplification because later ``solve(assumptions=...)`` calls
-        may constrain them (the incremental contract: pass the superset of all
-        assumption candidates, e.g. the instance's start set).  SAT models are
-        reconstructed over the original variables, so callers never see the
-        simplified formula.  Frozen ids outside ``1..cnf.num_vars`` raise
-        :class:`ValueError`; without ``config.simplify`` the argument is
-        validated and otherwise ignored.
+        ``frozen`` names the variables that later ``solve(assumptions=...)``
+        calls may constrain (the incremental contract: pass the superset of
+        all assumption candidates, e.g. the instance's start set), which
+        :meth:`inprocess` then never eliminates.  Frozen ids outside
+        ``1..cnf.num_vars`` raise :class:`ValueError`.
         """
-        from repro.sat.simplify import Preprocessor, validate_frozen
+        from repro.sat.simplify import validate_frozen
 
-        frozen_set = validate_frozen(frozen, cnf.num_vars)
-        self._frozen = frozen_set
-        if self.config.simplify:
-            preprocessor = self.preprocessor if self.preprocessor is not None else Preprocessor()
-            self._presolve = preprocessor.preprocess(cnf, frozen=frozen_set)
-            self._init(self._presolve.cnf)
-        else:
-            self._presolve = None
-            self._init(cnf)
+        self._frozen = validate_frozen(frozen, cnf.num_vars)
+        self._presolve = None
+        self._init(cnf)
         self.loaded_cnf = cnf
         self._image = None
         self._root_snapshot = None
@@ -215,13 +201,7 @@ class CDCLSolver:
         13.69 ms on a51-tiny (medians of 50 interleaved rounds on a 2-vCPU
         VM), and decoding ``loaded_cnf`` with ``image.to_cnf()`` is 1.41 ms
         of the Bivium16 figure.
-        Requires ``config.simplify`` off, like :meth:`ArenaImage.freeze`.
         """
-        if self.config.simplify:
-            raise ValueError(
-                "load_image requires config.simplify=False; preprocess the "
-                "formula before freezing it into an ArenaImage"
-            )
         n = image.num_vars
         self._presolve = None
         self._frozen = frozenset()
@@ -300,20 +280,7 @@ class CDCLSolver:
         start = time.perf_counter()
         fresh = cnf is not None
         if fresh:
-            if self.config.simplify:
-                # One-shot solve with preprocessing: the assumption variables
-                # are exactly the frozen set (validated against the incoming
-                # formula first so a bad literal gets the assumption error,
-                # not the frozen-variable one).
-                for literal in assumptions:
-                    if literal == 0 or abs(literal) > cnf.num_vars:
-                        raise ValueError(
-                            f"assumption literal {literal} is outside the loaded "
-                            f"formula's variables 1..{cnf.num_vars}"
-                        )
-                self.load(cnf, frozen=frozenset(abs(lit) for lit in assumptions))
-            else:
-                self.load(cnf)
+            self.load(cnf)
         elif self.loaded_cnf is None:
             raise ValueError("no formula loaded: pass a CNF or call load() first")
         else:
@@ -330,10 +297,11 @@ class CDCLSolver:
     ) -> SolveResult:
         """The post-load body of :meth:`solve` (shared with the batch engine).
 
-        ``fresh`` selects the one-shot reporting contract (dense activity map,
-        no bump tracking); the batched fresh-solve fallback restores the
-        pristine root snapshot and calls this with ``fresh=True``, which makes
-        it bit-identical to ``solve(cnf, ...)`` without re-running ``_init``.
+        ``fresh`` selects the one-shot reporting contract (activity read off
+        the activity array, no bump tracking); the batched fresh-solve
+        fallback restores the pristine root snapshot and calls this with
+        ``fresh=True``, which makes it bit-identical to ``solve(cnf, ...)``
+        without re-running ``_init``.
         """
         self._budget = budget or _UNLIMITED
         self._stats = SolverStats()
@@ -389,11 +357,12 @@ class CDCLSolver:
                 # *original* formula, not the solver's default phase.
                 model = self._presolve.reconstruct(model)
         # Like stats, conflict_activity is per call: report only the bumps of
-        # this call, not the cumulative VSIDS state retained across calls.
-        # Fresh solves report the raw dense activity map over every variable
-        # (the historical contract); incremental calls report only the
-        # variables actually bumped this call, reconstructed from per-variable
-        # snapshots taken at first bump (no O(num_vars) work per sample).
+        # this call, not the cumulative VSIDS state retained across calls, and
+        # only variables with nonzero activity.  Fresh solves start from zero
+        # activity, so they report the raw activity of every bumped variable;
+        # incremental calls report the variables bumped this call,
+        # reconstructed from per-variable snapshots taken at first bump (no
+        # O(num_vars) work per sample).
         # Deltas are normalised by the call-start var_inc so a bump in one
         # call weighs the same as a bump in any other, and each snapshot is
         # brought into the current frame when the 1e100 activity rescale fired
@@ -401,7 +370,7 @@ class CDCLSolver:
         # be exponentially dominated by the most recent calls, or collapse to
         # zero in the call where the rescale happens.
         if fresh:
-            activity = {v: self._activity[v] for v in range(1, self._num_vars + 1)}
+            activity = {v: act for v, act in enumerate(self._activity) if act > 0.0}
         else:
             unit = var_inc_before * (
                 1e-100 ** (self._activity_rescales - rescales_before)
@@ -416,10 +385,11 @@ class CDCLSolver:
             for v in sorted(self._bumped_vars):
                 snap_value, snap_rescales = self._bump_snapshots[v]
                 snap_scale = 1e-100 ** (self._activity_rescales - snap_rescales)
-                delta = max(0.0, self._activity[v] - snap_value * snap_scale) / unit
-                # Keep reported activity finite: an inf would be folded into
-                # downstream accumulated sums permanently.
-                activity[v] = min(delta, 1e100)
+                delta = (self._activity[v] - snap_value * snap_scale) / unit
+                if delta > 0.0:
+                    # Keep reported activity finite: an inf would be folded
+                    # into downstream accumulated sums permanently.
+                    activity[v] = min(delta, 1e100)
         return SolveResult(
             status=status,
             model=model,
@@ -1486,7 +1456,18 @@ from repro.api.registry import register_solver  # noqa: E402  (import-time regis
 
 @register_solver("cdcl", description="conflict-driven clause learning (flat-array arena core)")
 def _cdcl_factory(**options) -> CDCLSolver:
-    """Build a CDCL solver; keyword options are :class:`CDCLConfig` fields."""
+    """Build a CDCL solver; keyword options are :class:`CDCLConfig` fields.
+
+    An option that is not a field raises :class:`ValueError` naming it and
+    the fields, so a config from a run with other options fails cleanly.
+    """
+    fields = [field.name for field in dataclasses.fields(CDCLConfig)]
+    unknown = sorted(set(options) - set(fields))
+    if unknown:
+        raise ValueError(
+            f"unknown cdcl solver option(s): {', '.join(map(repr, unknown))} "
+            f"(CDCLConfig fields: {', '.join(fields)})"
+        )
     return CDCLSolver(CDCLConfig(**options)) if options else CDCLSolver()
 
 

@@ -1,12 +1,10 @@
-"""Formula preprocessing: unit propagation closure and pure-literal elimination.
+"""Unit propagation closure of a formula under a partial assignment.
 
-These transformations are used in three places:
-
-* the backdoor-set verifier (:mod:`repro.sat.backdoor`) needs the unit
-  propagation closure to check the Strong Unit-Propagation Backdoor property;
-* the decomposition machinery simplifies sub-instances before handing them to
-  the solver, mirroring what MiniSat's preprocessing did for PDSAT;
-* tests use them as small, independently verifiable building blocks.
+The backdoor-set verifier (:mod:`repro.sat.backdoor`) needs the closure to
+check the Strong Unit-Propagation Backdoor property, and the partitioning
+techniques (:mod:`repro.partitioning`) propagate the formula alone or under a
+cube.  SatELite-style preprocessing, pure literals included, is
+:class:`repro.sat.simplify.Preprocessor`.
 """
 
 from __future__ import annotations
@@ -82,43 +80,3 @@ def unit_propagate(cnf: CNF, assignment: dict[int, bool] | None = None) -> Propa
     simplified = CNF(list(clauses), cnf.num_vars)
     return PropagationResult(conflict=False, assignment=values, simplified=simplified)
 
-
-def pure_literal_elimination(cnf: CNF) -> tuple[CNF, dict[int, bool]]:
-    """Repeatedly satisfy pure literals; returns the reduced CNF and the choices made.
-
-    A literal is pure when its variable occurs with a single polarity; setting
-    it to satisfy all its clauses preserves satisfiability.
-    """
-    clauses = [tuple(c) for c in cnf.clauses]
-    choices: dict[int, bool] = {}
-    while True:
-        polarity: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                var = abs(lit)
-                polarity[var] = polarity.get(var, 0) | (1 if lit > 0 else 2)
-        pure = {var: mask == 1 for var, mask in polarity.items() if mask in (1, 2)}
-        if not pure:
-            break
-        choices.update(pure)
-        clauses = [
-            clause
-            for clause in clauses
-            if not any(abs(lit) in pure and pure[abs(lit)] == (lit > 0) for lit in clause)
-        ]
-    return CNF(list(clauses), cnf.num_vars), choices
-
-
-def simplify(cnf: CNF) -> tuple[CNF, dict[int, bool], bool]:
-    """Unit propagation followed by pure-literal elimination.
-
-    Returns ``(reduced_cnf, forced_assignment, conflict)``.
-    """
-    prop = unit_propagate(cnf)
-    if prop.conflict:
-        return cnf, prop.assignment, True
-    assert prop.simplified is not None
-    reduced, pure = pure_literal_elimination(prop.simplified)
-    forced = dict(prop.assignment)
-    forced.update(pure)
-    return reduced, forced, False

@@ -121,6 +121,8 @@ class SolveResult:
     status: SolverStatus
     model: dict[int, bool] | None = None
     stats: SolverStats = field(default_factory=SolverStats)
+    #: This call's conflict activity of each variable it bumped (nonzero
+    #: values only); empty for solvers that keep no activity.
     conflict_activity: dict[int, float] = field(default_factory=dict)
 
     @property

@@ -403,6 +403,32 @@ class TestCliExperimentCommands:
         with pytest.raises(SystemExit):
             main(["run", "--config", "/nonexistent/exp.json"])
 
+    def test_run_command_unknown_solver_option(self, tmp_path):
+        # A config naming an option CDCLConfig does not have (here
+        # ``simplify``, which older configs may carry) ends the run with one
+        # line on stderr.
+        cfg = ExperimentConfig(
+            instance=InstanceSpec(cipher="geffe-tiny", seed=1),
+            solver=SolverSpec(options={"simplify": True}),
+            minimizer=MinimizerSpec(max_evaluations=2),
+            sample_size=4,
+            decomposition_size=4,
+        )
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(cfg.to_json())
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--config", str(config_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.count("\n") == 1, completed.stderr
+        assert "'simplify'" in completed.stderr
+        assert "Traceback" not in completed.stderr
+
     def test_solve_backend_flag(self, capsys):
         from repro.cli import main
 

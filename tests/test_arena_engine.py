@@ -9,6 +9,9 @@ array-indexed watcher layout.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.api import SolverSpec
 from repro.api.registry import get_solver
 from repro.sat.cdcl import CDCLConfig, CDCLSolver
 from repro.sat.cdcl.solver import _FALSE, _elit, _ilit
@@ -249,6 +252,14 @@ class TestEngineRegistry:
     def test_both_factories_accept_config_options(self):
         arena = get_solver("cdcl")(restart_base=32)
         assert arena.config.restart_base == 32
+
+    def test_unknown_option_names_it_and_the_fields(self):
+        with pytest.raises(ValueError) as refused:
+            SolverSpec(options={"simplify": True, "restart_base": 32}).build()
+        message = str(refused.value)
+        assert "'simplify'" in message
+        assert "'restart_base'" not in message
+        assert "restart_base, use_luby_restarts" in message
 
 
 class TestBatchWallTime:

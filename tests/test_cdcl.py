@@ -178,11 +178,15 @@ class TestDeterminism:
         assert result.stats.propagations > 0
         assert result.stats.wall_time > 0
 
-    def test_conflict_activity_reported_for_all_variables(self, cdcl):
+    def test_conflict_activity_reports_only_bumped_variables(self, cdcl):
         cnf = random_ksat(25, 107, seed=4)
         result = cdcl.solve(cnf)
-        assert set(result.conflict_activity) == set(range(1, 26))
-        assert all(value >= 0 for value in result.conflict_activity.values())
+        assert result.stats.conflicts > 0
+        assert result.conflict_activity
+        assert set(result.conflict_activity) <= set(range(1, 26))
+        assert all(value > 0 for value in result.conflict_activity.values())
+        # Without a conflict nothing is bumped, and nothing is reported.
+        assert cdcl.solve(CNF([(1, 2), (2, 3)])).conflict_activity == {}
 
 
 class TestConfigurations:

@@ -608,8 +608,8 @@ class TestPreprocessorDifferential:
     agree with the raw formula's verdict, and every
     model of the simplified formula must, after reconstruction, satisfy the
     *original* formula.  A separate pass drives incremental assumption
-    sequences through ``CDCLConfig.simplify`` and requires bit-identical
-    statuses with the plain incremental engine.
+    sequences through a solver inprocessed after ``load(cnf, frozen)`` and
+    requires bit-identical statuses with the plain incremental engine.
     """
 
     @staticmethod
@@ -664,15 +664,14 @@ class TestPreprocessorDifferential:
             assert self._check_instance(cnf) is SolverStatus.UNSAT
 
     def test_incremental_assumption_sequences_with_frozen_variables(self):
-        from repro.sat.cdcl.config import CDCLConfig
-
         for num_vars, ratio in UNIFORM_GRID:
             for seed in range(10):
                 cnf = random_ksat(num_vars, round(ratio * num_vars), k=3, seed=1700 + seed)
                 rng = random.Random(seed)
                 frozen = sorted(rng.sample(range(1, num_vars + 1), 4))
                 plain = CDCLSolver().load(cnf)
-                simplifying = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=frozen)
+                simplifying = CDCLSolver().load(cnf, frozen=frozen)
+                simplifying.inprocess()
                 for _ in range(4):
                     chosen = rng.sample(frozen, rng.randint(1, 3))
                     assumptions = [v if rng.random() < 0.5 else -v for v in chosen]

@@ -1,9 +1,9 @@
-"""Tests for unit propagation and pure-literal elimination."""
+"""Tests for the unit propagation closure."""
 
 from __future__ import annotations
 
 from repro.sat.formula import CNF
-from repro.sat.preprocessing import pure_literal_elimination, simplify, unit_propagate
+from repro.sat.preprocessing import unit_propagate
 
 
 class TestUnitPropagation:
@@ -47,49 +47,3 @@ class TestUnitPropagation:
         result = unit_propagate(cnf)
         assert result.fixed_variables == {4, 7}
 
-
-class TestPureLiterals:
-    def test_pure_positive(self):
-        cnf = CNF([(1, 2), (1, -2)])
-        reduced, choices = pure_literal_elimination(cnf)
-        assert choices[1] is True
-        assert reduced.num_clauses == 0
-
-    def test_pure_negative(self):
-        cnf = CNF([(-3, 2), (-3, -2)])
-        reduced, choices = pure_literal_elimination(cnf)
-        assert choices[3] is False
-
-    def test_mixed_polarity_not_pure(self):
-        cnf = CNF([(1, 2), (-1, -2)])
-        reduced, choices = pure_literal_elimination(cnf)
-        assert choices == {}
-        assert reduced.num_clauses == 2
-
-    def test_cascading_purity(self):
-        # After removing clauses satisfied by pure literal 1, variable 2 becomes pure.
-        cnf = CNF([(1, -2), (2, 3), (2, -3)])
-        reduced, choices = pure_literal_elimination(cnf)
-        assert choices[1] is True
-        assert reduced.num_clauses == 0 or 2 in choices
-
-
-class TestSimplify:
-    def test_combined_pipeline(self):
-        cnf = CNF([(1,), (-1, 2), (3, 4), (3, -4)])
-        reduced, forced, conflict = simplify(cnf)
-        assert not conflict
-        assert forced[1] is True
-        assert forced[2] is True
-        assert forced[3] is True
-        assert reduced.num_clauses == 0
-
-    def test_conflict_reported(self):
-        cnf = CNF([(1,), (-1,)])
-        _, forced, conflict = simplify(cnf)
-        assert conflict
-
-    def test_original_formula_not_mutated(self):
-        cnf = CNF([(1,), (-1, 2)])
-        simplify(cnf)
-        assert cnf.num_clauses == 2

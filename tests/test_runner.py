@@ -347,11 +347,10 @@ BACKENDS = {
     "volunteer-grid": VolunteerGridBackend,
 }
 
-#: A solver that batches, one that cannot, and one whose preprocessing forbids it.
+#: A solver that batches and one that cannot.
 SOLVER_SPECS = {
     "cdcl": SolverSpec(),
     "dpll": SolverSpec(name="dpll"),
-    "cdcl-simplify": SolverSpec(options={"simplify": True}),
 }
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.cdcl.config import CDCLConfig
 from repro.sat.cdcl.image import ArenaImage
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import random_ksat
@@ -56,10 +55,6 @@ class TestImageLifecycle:
                 sat_rows += 1
                 assert a.model == b.model
         assert sat_rows  # at least one model was compared
-
-    def test_freeze_rejects_simplifying_configs(self):
-        with pytest.raises(ValueError, match="simplify"):
-            ArenaImage.freeze(_cnf(), CDCLConfig(simplify=True))
 
     def test_root_refuted_formula_freezes_with_ok_false(self):
         cnf = CNF(clauses=[(1,), (-1,)], num_vars=1)  # x and not-x as root units

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from simplify_reference import assert_same_as_reference
 
 from repro.sat.cdcl import CDCLSolver
-from repro.sat.cdcl.config import CDCLConfig
 from repro.sat.formula import CNF
 from repro.sat.random_cnf import pigeonhole, planted_ksat, random_ksat
 from repro.sat.simplify import PreprocessConfig, Preprocessor, PreprocessResult
@@ -439,68 +438,11 @@ class TestCipherEncodingReduction:
 
 
 class TestSolverSimplifyKnob:
-    """CDCLConfig.simplify: preprocessing inside CDCLSolver.load()."""
-
-    def test_one_shot_model_covers_original_formula(self):
-        cnf, _ = planted_ksat(14, 46, seed=8)
-        result = CDCLSolver(CDCLConfig(simplify=True)).solve(cnf)
-        assert result.is_sat
-        assert check_model(cnf, result.model)
-
-    def test_incremental_contract_with_frozen_assumptions(self):
-        cnf, _ = planted_ksat(16, 55, seed=4)
-        frozen = [1, 2, 3, 4]
-        plain = CDCLSolver().load(cnf)
-        simplifying = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=frozen)
-        for assumptions in ([1, -2], [-1, 2, 3], [4], [-3, -4], [1, 2, 3, 4]):
-            expected = plain.solve(assumptions=assumptions)
-            got = simplifying.solve(assumptions=assumptions)
-            assert got.status is expected.status, assumptions
-            if got.is_sat:
-                assert check_model(cnf, got.model)
-                for literal in assumptions:
-                    assert got.model[abs(literal)] == (literal > 0)
-
-    def test_assumption_on_eliminated_variable_raises(self):
-        cnf, _ = planted_ksat(14, 46, seed=8)
-        solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[1])
-        eliminated = sorted(solver.eliminated_variables)
-        assert eliminated, "expected the planted instance to lose variables"
-        with pytest.raises(ValueError, match="eliminated or fixed by preprocessing"):
-            solver.solve(assumptions=[eliminated[0]])
+    """``CDCLSolver.load`` validates the frozen set and never preprocesses."""
 
     def test_frozen_out_of_range_raises_on_load(self):
-        cnf = CNF([(1, 2)])
         with pytest.raises(ValueError, match="frozen variables"):
-            CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[5])
-        # The validation applies even with simplify off (contract consistency).
-        with pytest.raises(ValueError, match="frozen variables"):
-            CDCLSolver().load(cnf, frozen=[5])
-
-    def test_globally_unsat_after_preprocessing(self):
-        cnf = CNF([(1,), (-1, 2), (-2,)])
-        solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf)
-        assert solver.solve().status.value == "UNSAT"
-        assert solver.solve(assumptions=[1]).status.value == "UNSAT"
-
-    def test_assumption_against_fixed_frozen_variable_is_unsat_under_assumptions(self):
-        # UP fixes 1=True at the root; assuming -1 must be UNSAT, and the
-        # solver must stay usable afterwards (not globally unsat).
-        cnf = CNF([(1,), (-1, 2), (2, 3), (3, 4)])
-        solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[1])
-        assert solver.solve(assumptions=[-1]).status.value == "UNSAT"
-        assert solver.solve(assumptions=[1]).status.value == "SAT"
-
-    def test_custom_preprocessor_honoured(self):
-        cnf, _ = planted_ksat(14, 46, seed=8)
-        solver = CDCLSolver(CDCLConfig(simplify=True))
-        solver.preprocessor = Preprocessor(
-            subsumption=False, self_subsumption=False, variable_elimination=False,
-            pure_literals=False,
-        )
-        solver.load(cnf)
-        assert solver.eliminated_variables == frozenset()
-        assert solver.presolve is not None
+            CDCLSolver().load(CNF([(1, 2)]), frozen=[5])
 
     def test_simplify_off_has_no_presolve(self):
         cnf = CNF([(1, 2)])
@@ -510,102 +452,29 @@ class TestSolverSimplifyKnob:
 
 
 class TestPredictiveFunctionFrozenPlumbing:
-    def test_estimates_identical_with_and_without_frozen_plumbing(self):
-        from repro.core.predictive import PredictiveFunction
-
-        cnf, _ = planted_ksat(16, 55, seed=6)
-        plain = PredictiveFunction(
-            cnf, solver=CDCLSolver(), sample_size=20, seed=1,
-            incremental=True, sample_cache_size=None,
-        ).evaluate([1, 2, 3, 4])
-        plumbed = PredictiveFunction(
-            cnf, solver=CDCLSolver(), sample_size=20, seed=1,
-            incremental=True, sample_cache_size=None,
-            frozen_variables=range(1, 9),
-        ).evaluate([1, 2, 3, 4])
-        assert plain.value == plumbed.value
-        assert [o.cost for o in plain.observations] == [o.cost for o in plumbed.observations]
-        assert [o.status for o in plain.observations] == [
-            o.status for o in plumbed.observations
-        ]
-
-    def test_simplifying_solver_reloads_for_unfrozen_decomposition(self):
-        from repro.core.predictive import PredictiveFunction
-
-        cnf, _ = planted_ksat(16, 55, seed=6)
-        solver = CDCLSolver(CDCLConfig(simplify=True))
-        evaluator = PredictiveFunction(
-            cnf, solver=solver, sample_size=10, seed=1,
-            incremental=True, sample_cache_size=None,
-            frozen_variables=[1, 2, 3],
-        )
-        evaluator.evaluate([1, 2, 3])
-        eliminated = sorted(solver.eliminated_variables)
-        assert eliminated, "expected eliminations on the planted instance"
-        target = eliminated[0]
-        result = evaluator.evaluate([1, target])  # must trigger a re-load, not an error
-        assert evaluator.num_freeze_reloads == 1
-        assert target not in solver.eliminated_variables
-        assert result.sample_size == 10
+    """The frozen-variable contract, kept by ``load(cnf, frozen)`` then ``inprocess()``."""
 
     def test_assumption_on_nonfrozen_fixed_variable_raises(self):
         # Var 1 is root-fixed by UP but NOT frozen: its clauses are gone from
-        # the simplified formula, so assuming against it could silently
+        # the inprocessed database, so assuming against it could silently
         # return SAT on a query the original formula refutes.  It must raise.
         cnf = CNF([(1,), (2, 3)], 3)
-        solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[2])
+        solver = CDCLSolver().load(cnf, frozen=[2])
+        solver.inprocess()
         with pytest.raises(ValueError, match="eliminated or fixed by preprocessing"):
             solver.solve(assumptions=[-1])
         with pytest.raises(ValueError, match="eliminated or fixed by preprocessing"):
             solver.solve(assumptions=[1])  # even the agreeing polarity
         # Freezing the variable instead keeps it assumable and sound.
-        frozen_solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[1, 2])
+        frozen_solver = CDCLSolver().load(cnf, frozen=[1, 2])
+        frozen_solver.inprocess()
         assert frozen_solver.solve(assumptions=[-1]).status.value == "UNSAT"
         assert frozen_solver.solve(assumptions=[1]).status.value == "SAT"
 
     def test_unassumable_variables_property(self):
         cnf = CNF([(1,), (2, 3)], 3)
-        solver = CDCLSolver(CDCLConfig(simplify=True)).load(cnf, frozen=[2])
+        solver = CDCLSolver().load(cnf, frozen=[2])
+        assert solver.unassumable_variables == frozenset()
+        solver.inprocess()
         assert 1 in solver.unassumable_variables
         assert 2 not in solver.unassumable_variables
-        plain = CDCLSolver().load(cnf)
-        assert plain.unassumable_variables == frozenset()
-
-    def test_reload_triggered_by_nonfrozen_fixed_decomposition_variable(self):
-        # Var 1 is root-fixed away by preprocessing (not frozen at first
-        # load); a later decomposition naming it must re-load with the
-        # enlarged frozen set and then sample soundly: the 1=False half of
-        # the sample is UNSAT on the original formula, so not every
-        # observation may claim SAT.
-        from repro.core.predictive import PredictiveFunction
-        from repro.sat.solver import SolverStatus
-
-        cnf = CNF([(1,), (2, 3)], 3)
-        solver = CDCLSolver(CDCLConfig(simplify=True))
-        evaluator = PredictiveFunction(
-            cnf, solver=solver, sample_size=8, seed=0,
-            incremental=True, sample_cache_size=None, frozen_variables=[2],
-        )
-        evaluator.evaluate([2])                    # loads with frozen = {2}
-        assert 1 in solver.unassumable_variables   # var 1 was fixed away
-        result = evaluator.evaluate([1])           # must re-load, not mis-sample
-        assert evaluator.num_freeze_reloads == 1
-        assert 1 not in solver.unassumable_variables
-        statuses = {obs.status for obs in result.observations}
-        assert SolverStatus.UNSAT in statuses
-
-    def test_first_evaluation_freezes_its_decomposition_at_load(self):
-        # The very first evaluate() folds its decomposition into the frozen
-        # set before the initial load, so no reload is needed and the sample
-        # is sound immediately.
-        from repro.core.predictive import PredictiveFunction
-        from repro.sat.solver import SolverStatus
-
-        cnf = CNF([(1,), (2, 3)], 3)
-        evaluator = PredictiveFunction(
-            cnf, solver=CDCLSolver(CDCLConfig(simplify=True)), sample_size=8,
-            seed=0, incremental=True, sample_cache_size=None, frozen_variables=[2],
-        )
-        result = evaluator.evaluate([1])
-        assert evaluator.num_freeze_reloads == 0
-        assert SolverStatus.UNSAT in {obs.status for obs in result.observations}

@@ -438,11 +438,43 @@ class TestCipherEncodingReduction:
 
 
 class TestSolverSimplifyKnob:
-    """``CDCLSolver.load`` validates the frozen set and never preprocesses."""
+    """``CDCLSolver.load`` validates the frozen set and never preprocesses;
+    ``inprocess()`` simplifies the loaded database on request."""
 
     def test_frozen_out_of_range_raises_on_load(self):
         with pytest.raises(ValueError, match="frozen variables"):
             CDCLSolver().load(CNF([(1, 2)]), frozen=[5])
+
+    def test_assumption_on_eliminated_variable_raises(self):
+        cnf, _ = planted_ksat(14, 46, seed=8)
+        solver = CDCLSolver().load(cnf, frozen=[1])
+        solver.inprocess()
+        eliminated = sorted(solver.eliminated_variables)
+        assert eliminated, "expected the planted instance to lose variables"
+        with pytest.raises(ValueError, match="eliminated or fixed by preprocessing"):
+            solver.solve(assumptions=[eliminated[0]])
+
+    def test_globally_unsat_after_preprocessing(self):
+        # No unit at the root, so load() refutes nothing; inprocessing
+        # strengthens the clauses to contradictory units.
+        cnf = CNF([(1, 2), (1, -2), (-1, 2), (-1, -2)])
+        solver = CDCLSolver().load(cnf)
+        assert solver.inprocess().unsat
+        assert solver.unassumable_variables == frozenset()
+        assert solver.solve().status.value == "UNSAT"
+        assert solver.solve(assumptions=[1]).status.value == "UNSAT"
+
+    def test_custom_preprocessor_honoured(self):
+        cnf, _ = planted_ksat(14, 46, seed=8)
+        solver = CDCLSolver().load(cnf)
+        solver.inprocess(
+            Preprocessor(
+                subsumption=False, self_subsumption=False, variable_elimination=False,
+                pure_literals=False,
+            )
+        )
+        assert solver.eliminated_variables == frozenset()
+        assert solver.presolve is not None
 
     def test_simplify_off_has_no_presolve(self):
         cnf = CNF([(1, 2)])

@@ -1,12 +1,13 @@
-"""Batching microbenchmark: word-parallel solve_batch vs scalar (BENCH_6).
+"""Batching microbenchmark: solve_batch vs the scalar fresh loop (BENCH_6).
 
-This module is the continuous check that the bit-parallel assumption-batching
-engine (:meth:`repro.sat.cdcl.CDCLSolver.solve_batch`,
-:mod:`repro.sat.cdcl.batch`) and the frozen-image worker protocol
-(:class:`repro.sat.cdcl.image.ArenaImage`, handed to pool workers through the
-pool initializer) keep paying — and stay *bit-identical* everywhere:
+This module is the continuous check that assumption batching
+(:meth:`repro.sat.cdcl.CDCLSolver.solve_batch`, which loads the formula once
+and solves each row from a restored root snapshot) and the frozen-image
+worker protocol (:class:`repro.sat.cdcl.image.ArenaImage`, handed to pool
+workers through the pool initializer) keep paying — and stay *bit-identical*
+everywhere:
 
-* **lockstep speedup** — the single-process word-parallel loop must stay
+* **solve_batch speedup** — the single-process batched loop must stay
   decisively faster than the scalar fresh loop on the bivium-tiny d=10 sample
   stream;
 * **estimation speedup** — one evaluation of the batched evaluator on a run
@@ -22,7 +23,11 @@ pool initializer) keep paying — and stay *bit-identical* everywhere:
 
 The committed estimation ratios were recorded on a scheduled estimator that
 shipped the scalar side's samples one per task to a process pool; that
-estimator is gone, and its gates hold the same floors on the evaluator.
+estimator is gone, and its gates hold the same floors on the evaluator.  The
+committed ``batch-solve`` ratio was recorded on a word-parallel engine that
+propagated all rows of a call together before solving the conflicting ones
+from the snapshot; every row now takes the snapshot path, under the same
+floor.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ def _bivium():
 
 
 def _sampled_rows(variables, count: int, seed: int) -> list[tuple[int, ...]]:
-    """The rows ``BENCH_6.json``'s lockstep workload was recorded on.
+    """The rows ``BENCH_6.json``'s ``batch-solve`` workload was recorded on.
 
     Row ``j`` sets the sorted ``variables`` by bits drawn from a generator
     seeded with the ``j``-th 64-bit word of ``random.Random(seed)``.
@@ -66,12 +71,12 @@ def _sampled_rows(variables, count: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def batch_solve_workload(cnf, rows, rounds: int = 2) -> dict[str, object]:
-    """Word-parallel ``solve_batch`` vs the scalar fresh loop, single process.
+    """``solve_batch`` vs the scalar fresh loop, single process.
 
     Both sides solve exactly the same sampled assumption rows with fresh-solve
     semantics: the scalar side re-loads per call (the estimator's fresh path),
-    the batched side loads once and runs the lockstep engine in
-    ``BATCH_SIZE`` chunks.  Interleaved best-of-``rounds`` samples/second.
+    the batched side loads once and calls ``solve_batch`` on ``BATCH_SIZE``
+    rows at a time.  Interleaved best-of-``rounds`` samples/second.
     """
     best = {"scalar": 0.0, "batched": 0.0}
     scalar_results = batched_results = None
@@ -155,7 +160,7 @@ def batch_family_differential(cnf, decomposition) -> dict[str, bool]:
     """Solve a whole decomposition family batched vs scalar and compare.
 
     Every sub-problem's SAT/UNSAT answer must be identical, and every model
-    the batch engine returns must satisfy the original formula.
+    ``solve_batch`` returns must satisfy the original formula.
     """
     rows = [
         tuple(assignment.to_literals())
@@ -177,15 +182,15 @@ def batch_family_differential(cnf, decomposition) -> dict[str, bool]:
     return {"answers_identical": answers_identical, "models_verified": models_verified}
 
 
-def test_lockstep_speedup_and_differential(benchmark):
-    """The headline BENCH_6 workload: word-parallel beats the scalar fresh loop."""
+def test_solve_batch_speedup_and_differential(benchmark):
+    """The headline BENCH_6 workload: solve_batch beats the scalar fresh loop."""
     bivium = _bivium()
     decomposition = sorted(bivium.start_set[:10])
     rows = _sampled_rows(decomposition, SAMPLES, SEED)
 
     workload = run_once(benchmark, lambda: batch_solve_workload(bivium.cnf, rows))
     print_table(
-        "Word-parallel solve_batch vs scalar fresh loop (bivium-tiny d=10, N=200)",
+        "solve_batch vs scalar fresh loop (bivium-tiny d=10, N=200)",
         ["scalar samples/s", "batched samples/s", "speedup", "statuses agree"],
         [[
             f"{workload['scalar']:.0f}",

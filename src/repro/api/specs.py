@@ -154,12 +154,12 @@ class EstimatorSpec:
     #: Per-sample solver budget; ``None`` means run every sample to completion.
     max_conflicts_per_sample: int | None = None
     max_seconds_per_sample: float | None = None
-    #: Samples per ``solve_batch`` call (the word-parallel lockstep engine of
-    #: :mod:`repro.sat.cdcl.batch`).  ``1`` keeps the scalar loop.  Values > 1
-    #: force fresh-solve semantics (``incremental`` is ignored — the batch
-    #: engine's contract *is* the paper's fresh ξ) and require a solver
-    #: exposing ``solve_batch``; results are bit-identical to the scalar
-    #: fresh path either way.
+    #: Samples per ``solve_batch`` call, which loads the formula once and
+    #: solves each row from a restored root snapshot.  ``1`` keeps the scalar
+    #: loop.  Values > 1 force fresh-solve semantics (``incremental`` is
+    #: ignored — ``solve_batch``'s contract *is* the paper's fresh ξ) and
+    #: require a solver exposing ``solve_batch``; results are bit-identical
+    #: to the scalar fresh path either way.
     batch_size: int = 1
 
     def budget(self) -> "SolverBudget | None":
@@ -185,7 +185,7 @@ class EstimatorSpec:
         ``solver`` does not implement the incremental contract (or when
         ``substitution_mode`` is ``"units"``), so one spec works across every
         registered solver.  ``batch_size > 1`` likewise implies fresh solves
-        (the batch engine's contract) and downgrades to the scalar loop for
+        (``solve_batch``'s contract) and downgrades to the scalar loop for
         solvers without ``solve_batch`` — that downgrade emits a
         ``RuntimeWarning`` and is recorded on the returned evaluator
         (``requested_batch_size`` vs ``batch_size``), so callers asking for

@@ -1053,8 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=1,
-        help="samples per word-parallel solve_batch call (1 = scalar loop; "
-        ">1 implies fresh solves, bit-identical to the scalar fresh path)",
+        help="samples per solve_batch call, which loads the formula once "
+        "(1 = scalar loop; >1 implies fresh solves, bit-identical to the "
+        "scalar fresh path)",
     )
     estimate.set_defaults(func=_cmd_estimate)
 

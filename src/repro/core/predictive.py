@@ -301,8 +301,9 @@ class PredictiveFunction:
                     "batch_size > 1 requires a solver exposing solve_batch "
                     "(the arena 'cdcl' engine)"
                 )
-        #: Samples solved per ``solve_batch`` call when > 1 (the word-parallel
-        #: lockstep engine); results stay bit-identical to the scalar loop.
+        #: Samples solved per ``solve_batch`` call when > 1 (each row a fresh
+        #: solve from the restored root snapshot); results stay bit-identical
+        #: to the scalar fresh loop.
         self.batch_size = int(batch_size)
         #: What the caller *asked* for.  :meth:`repro.api.specs.EstimatorSpec.build`
         #: downgrades ``batch_size`` to 1 for solvers without ``solve_batch``

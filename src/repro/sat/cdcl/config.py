@@ -34,12 +34,3 @@ class CDCLConfig:
     #: below this value are "glue" clauses: the arena engine's database
     #: reduction never deletes them.
     glue_lbd: int = 2
-    #: Use the word-parallel lockstep root-propagation engine inside
-    #: :meth:`~repro.sat.cdcl.solver.CDCLSolver.solve_batch`: assumption
-    #: columns of a whole batch propagate together, one big-int bit per
-    #: sample, and only samples that hit a conflict fall back to an exact
-    #: scalar solve from the restored root snapshot.  Results are bit-identical
-    #: either way (the differential-fuzz lane proves it); turning this off
-    #: routes every row through the scalar fallback, which is the reference
-    #: semantics and a useful A/B lever when debugging the lockstep engine.
-    batch_lockstep: bool = True

@@ -119,7 +119,7 @@ class CDCLSolver:
         self._solve_seq = 0
         #: The :class:`~repro.sat.cdcl.image.ArenaImage` behind the last
         #: :meth:`load_image` (``None`` after a plain ``load``); re-loads for
-        #: the batched fresh-solve snapshot go through it when present.
+        #: :meth:`solve_batch`'s root snapshot go through it when present.
         self._image = None
         #: Copy of the pristine post-load state (lazily captured by
         #: :meth:`solve_batch`); :meth:`_restore_root_state` brings it back
@@ -295,13 +295,13 @@ class CDCLSolver:
         fresh: bool,
         start: float,
     ) -> SolveResult:
-        """The post-load body of :meth:`solve` (shared with the batch engine).
+        """The post-load body of :meth:`solve` (shared with :meth:`solve_batch`).
 
         ``fresh`` selects the one-shot reporting contract (activity read off
-        the activity array, no bump tracking); the batched fresh-solve
-        fallback restores the pristine root snapshot and calls this with
-        ``fresh=True``, which makes it bit-identical to ``solve(cnf, ...)``
-        without re-running ``_init``.
+        the activity array, no bump tracking); :meth:`solve_batch` restores
+        the pristine root snapshot before each row and calls this with
+        ``fresh=True``, which makes every row bit-identical to
+        ``solve(cnf, ...)`` without re-running ``_init``.
         """
         self._budget = budget or _UNLIMITED
         self._stats = SolverStats()
@@ -404,28 +404,54 @@ class CDCLSolver:
         budget: SolverBudget | None = None,
         trace=None,
     ) -> list[SolveResult]:
-        """Solve many fresh assumption rows against one formula, word-parallel.
+        """Solve many assumption rows against one formula, each as a fresh solve.
 
-        Semantically identical to ``[solve(cnf, row, ...) for row in rows]``
-        with a *fresh* solve per row (no learnt clauses or activity carry
-        across rows), but shares the root-level work: the formula is loaded
-        once, root propagation over the assumption columns runs word-wide
-        (one Python big-int bit per sample, mirroring
-        ``lfsr.pack_state_columns``/``run_batch``), and only rows that hit a
-        conflict fall back to an exact scalar solve from a restored pristine
-        snapshot.  Statuses, models, stats counters and conflict activity
-        are bit-identical to the scalar path; see
-        ``tests/test_differential_fuzz.py::TestBatchedVsScalar``.  Each row's
-        ``wall_time`` carries an even share of the batch's shared work, so
-        the rows' wall times sum to the call's elapsed time.
+        Semantically identical to ``[solve(cnf, row, budget) for row in rows]``
+        on the loaded formula: no learnt clause or activity carries across
+        rows, and ``budget`` bounds each row on its own.  The formula is
+        loaded once; each row then starts from the pristine post-load state,
+        restored from a snapshot (:meth:`_restore_root_state`) instead of
+        re-running ``_init`` and root propagation, and one more restore at
+        the end leaves the solver as the batch found it.  Statuses, models,
+        stats counters and conflict activity are bit-identical to fresh
+        solves; see ``tests/test_differential_fuzz.py::TestBatchedVsScalar``.
+        A batch solves the *loaded* formula fresh, so, like
+        ``solve(cnf, ...)``, it drops what :meth:`inprocess` did (the frozen
+        set of :meth:`load` is kept).  Every row's literals are checked
+        before any row is solved.  Each row's ``wall_time`` carries an even
+        share of the batch's shared work (the check, the snapshot and its
+        restores), so the rows' wall times sum to the call's elapsed time.
         """
-        from repro.sat.cdcl.batch import solve_batch_rows
-
         if cnf is not None:
             self.load(cnf)
         elif self.loaded_cnf is None:
             raise ValueError("no formula loaded: pass a CNF or call load() first")
-        return solve_batch_rows(self, assumption_rows, budget=budget, trace=trace)
+        started = time.perf_counter()
+        rows = [tuple(row) for row in assumption_rows]
+        if not rows:
+            return []
+        num_vars = self.loaded_cnf.num_vars
+        for row in rows:
+            for literal in row:
+                if literal == 0 or abs(literal) > num_vars:
+                    raise ValueError(
+                        f"assumption literal {literal} is outside the loaded "
+                        f"formula's variables 1..{num_vars}"
+                    )
+        snapshot = self._ensure_root_snapshot()
+        results = []
+        for row in rows:
+            if not self._pristine:
+                self._restore_root_state(snapshot)
+            results.append(self._run_solve(row, budget, trace, True, time.perf_counter()))
+        self._restore_root_state(snapshot)
+        # The check, the snapshot and the restores serve every row: charge
+        # each row an even share, so the rows' wall times sum to the call's.
+        elapsed = time.perf_counter() - started
+        shared = (elapsed - sum(result.stats.wall_time for result in results)) / len(rows)
+        for result in results:
+            result.stats.wall_time += shared
+        return results
 
     # ------------------------------------------------------------ clause sharing
     def import_clauses(self, clauses: Sequence[Sequence[int]]) -> int:
@@ -727,13 +753,14 @@ class CDCLSolver:
 
     def _ensure_root_snapshot(self) -> dict:
         """Capture (or return) the pristine post-load snapshot, re-loading the
-        formula first if a previous solve already mutated the state."""
+        formula first (with its frozen set) if a previous solve or
+        :meth:`inprocess` already changed the state."""
         if self._root_snapshot is None:
             if not self._pristine:
                 if self._image is not None:
                     self.load_image(self._image)
                 else:
-                    self.load(self.loaded_cnf)
+                    self.load(self.loaded_cnf, frozen=self._frozen)
             self._root_snapshot = self._capture_root_state()
         return self._root_snapshot
 

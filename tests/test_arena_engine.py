@@ -254,20 +254,21 @@ class TestEngineRegistry:
         assert arena.config.restart_base == 32
 
     def test_unknown_option_names_it_and_the_fields(self):
-        with pytest.raises(ValueError) as refused:
-            SolverSpec(options={"simplify": True, "restart_base": 32}).build()
-        message = str(refused.value)
-        assert "'simplify'" in message
-        assert "'restart_base'" not in message
-        assert "restart_base, use_luby_restarts" in message
+        # Both were CDCLConfig fields once; a config that still sets one fails.
+        for option in ("simplify", "batch_lockstep"):
+            with pytest.raises(ValueError) as refused:
+                SolverSpec(options={option: True, "restart_base": 32}).build()
+            message = str(refused.value)
+            assert f"'{option}'" in message
+            assert "'restart_base'" not in message
+            assert "restart_base, use_luby_restarts" in message
 
 
 class TestBatchWallTime:
     """``solve_batch`` charges each row an even share of the batch's shared work.
 
-    The snapshot restores and the lockstep root propagation serve every row
-    of a batch; without the share, a ``wall_time`` cost measure would read
-    low by exactly that time.
+    The snapshot restores serve every row of a batch; without the share, a
+    ``wall_time`` cost measure would read low by exactly that time.
     """
 
     ROWS = [(1,), (-1, 2), (3,), (-2, -3)]
@@ -275,19 +276,21 @@ class TestBatchWallTime:
     def test_shared_work_is_spread_evenly(self, monkeypatch):
         import time
 
-        from repro.sat.cdcl import batch
-
         solver = CDCLSolver().load(random_ksat(10, 42, k=3, seed=77))
         clock = {"now": 0.0}
         monkeypatch.setattr(time, "perf_counter", lambda: clock["now"])
-        lockstep_run = batch._LockstepBatch.run
+        restore = CDCLSolver._restore_root_state
+        restores = []
 
-        def slow_lockstep_run(self):
-            lockstep_run(self)
-            clock["now"] += 8.0
+        def slow_first_restore(self, snap):
+            restore(self, snap)
+            restores.append(snap)
+            if len(restores) == 1:
+                clock["now"] += 8.0
 
-        monkeypatch.setattr(batch._LockstepBatch, "run", slow_lockstep_run)
+        monkeypatch.setattr(CDCLSolver, "_restore_root_state", slow_first_restore)
         results = solver.solve_batch(self.ROWS)
+        assert len(restores) > 1
         assert [result.stats.wall_time for result in results] == [2.0] * 4
 
     def test_row_wall_times_sum_to_the_call(self, monkeypatch):

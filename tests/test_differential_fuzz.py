@@ -272,10 +272,9 @@ class TestTraceStatsParity:
             assert learned == stats.learned_clauses
 
     def test_batched_trace_event_counts_equal_scalar_stats(self):
-        # PR 7: the lockstep fast path synthesises its trace events after the
-        # word-parallel propagation, so the per-row ENQUEUE/DECIDE/CONFLICT
-        # totals must still equal both the batch result's own counters and the
-        # counters of a genuine scalar solve of the same row.
+        # A batch's rows write one trace between them: the per-row
+        # ENQUEUE/DECIDE/CONFLICT totals must equal both the batch results'
+        # own counters and the counters of a fresh scalar solve of each row.
         import io
 
         from repro.trace.format import TraceWriter, read_trace
@@ -332,11 +331,12 @@ class TestBatchedVsScalar:
 
     For 200+ seeded (CNF, assumption-row) pairs — the uniform grid at and off
     the phase transition, 4-SAT instances that exercise the long-clause
-    occurrence path, planted-SAT and constructed-UNSAT formulas — the batch
+    watch lists, planted-SAT and constructed-UNSAT formulas — the batch
     engine is run at batch sizes 1, 7 and 64 and every reported bit is pinned
     to a fresh scalar ``solve(cnf, assumptions=row)``: statuses, verified
     models, propagation/decision/conflict counters, and the estimator
-    statistics folded from the per-row costs.
+    statistics folded from the per-row costs, with and without a per-row
+    conflict budget.
     """
 
     BATCH_SIZES = (1, 7, 64)
@@ -392,9 +392,9 @@ class TestBatchedVsScalar:
         assert checked >= 200
 
     def test_batch_64_and_long_clause_instances(self):
-        # 4-SAT formulas route propagation through the long-clause occurrence
-        # lists (the prefix/suffix AND-product path the ternary corpus never
-        # touches); 70 rows per instance force multi-word 64-chunking too.
+        # 4-SAT formulas route propagation through the long-clause watch
+        # lists (which the ternary corpus never touches and every restore
+        # copies back); 70 rows per instance take two 64-row calls.
         for seed in range(4):
             cnf = random_ksat(14, 130, k=4, seed=seed)
             rows = self._rows_for(cnf, seed=5200 + seed, count=70)
@@ -422,22 +422,58 @@ class TestBatchedVsScalar:
         for batch_size in self.BATCH_SIZES:
             self._assert_batch_matches_scalar(cnf, rows, batch_size)
 
-    def test_lockstep_off_matches_lockstep_on(self):
-        # config.batch_lockstep=False routes every row through the scalar
-        # fallback — the A/B lever that isolates the lockstep engine.
-        from repro.sat.cdcl.config import CDCLConfig
+    def test_per_row_budgets_match_budgeted_fresh_solves(self):
+        # A budget bounds each batched row on its own: every row, UNKNOWN or
+        # decided, equals a fresh solve of that row under the same budget.
+        statuses = set()
+        for num_vars, seed, conflicts in ((30, 1, 3), (30, 2, 3), (40, 4, 10)):
+            cnf = random_ksat(num_vars, round(4.26 * num_vars), k=3, seed=seed)
+            rows = self._rows_for(cnf, seed=9000 + seed, count=20)
+            budget = SolverBudget(max_conflicts=conflicts)
+            fresh = [
+                CDCLSolver().solve(cnf, assumptions=list(row), budget=budget) for row in rows
+            ]
+            statuses.update(result.status for result in fresh)
+            for batch_size in self.BATCH_SIZES:
+                solver = CDCLSolver().load(cnf)
+                batched = []
+                for begin in range(0, len(rows), batch_size):
+                    batched.extend(
+                        solver.solve_batch(rows[begin : begin + batch_size], budget=budget)
+                    )
+                for row, batch_result, scalar_result in zip(rows, batched, fresh, strict=True):
+                    assert batch_result.status is scalar_result.status, (cnf, row)
+                    assert batch_result.model == scalar_result.model, (cnf, row)
+                    assert batch_result.conflict_activity == scalar_result.conflict_activity
+                    for counter in (
+                        "conflicts", "decisions", "propagations", "restarts",
+                        "learned_clauses", "deleted_clauses", "max_decision_level",
+                    ):
+                        assert getattr(batch_result.stats, counter) == getattr(
+                            scalar_result.stats, counter
+                        ), (counter, cnf, row)
+        assert statuses == {SolverStatus.SAT, SolverStatus.UNSAT, SolverStatus.UNKNOWN}
 
-        cnf = random_ksat(12, 52, k=3, seed=13)
-        rows = self._rows_for(cnf, seed=7100, count=20)
-        on = CDCLSolver().load(cnf).solve_batch(rows)
-        off_solver = CDCLSolver(CDCLConfig(batch_lockstep=False))
-        off = off_solver.load(cnf).solve_batch(rows)
-        for row, a, b in zip(rows, on, off):
-            assert a.status is b.status, row
-            assert a.stats.propagations == b.stats.propagations, row
-            assert a.stats.decisions == b.stats.decisions, row
-            assert a.stats.conflicts == b.stats.conflicts, row
-            assert a.model == b.model, row
+    def test_evaluator_subproblem_budget_identical_batched_and_scalar(self):
+        from repro.core.predictive import PredictiveFunction
+
+        cnf = random_ksat(40, 170, k=3, seed=1)
+        budget = SolverBudget(max_conflicts=5)
+
+        def evaluate(batch_size):
+            return PredictiveFunction(
+                cnf, sample_size=40, seed=5, subproblem_budget=budget, batch_size=batch_size
+            ).evaluate([1, 2, 3, 4, 5, 6])
+
+        scalar, batched = evaluate(1), evaluate(7)
+        statuses = [o.status for o in scalar.observations]
+        assert SolverStatus.UNKNOWN in statuses and SolverStatus.UNSAT in statuses
+        assert [o.status for o in batched.observations] == statuses
+        assert [o.cost for o in batched.observations] == [o.cost for o in scalar.observations]
+        assert [o.cached for o in batched.observations] == [o.cached for o in scalar.observations]
+        assert batched.estimate.mean == scalar.estimate.mean
+        assert batched.estimate.half_width == scalar.estimate.half_width
+        assert batched.conflict_activity == scalar.conflict_activity
 
     def test_folded_estimator_statistics_identical_through_the_scheduler(self):
         from repro.core.predictive import PredictiveFunction

@@ -476,6 +476,20 @@ class TestSolverSimplifyKnob:
         assert solver.eliminated_variables == frozenset()
         assert solver.presolve is not None
 
+    def test_batch_after_inprocess_keeps_the_frozen_set(self):
+        # A batch solves the loaded formula fresh, which drops the
+        # inprocessing; the variables frozen at load stay frozen, so the next
+        # inprocess() must not eliminate one of them.
+        cnf, _ = planted_ksat(16, 55, seed=4)
+        frozen = frozenset({1, 2, 3, 4})
+        solver = CDCLSolver().load(cnf, frozen=sorted(frozen))
+        solver.inprocess()
+        solver.solve_batch([[1], [-1]])
+        assert solver.presolve is None
+        solver.inprocess()
+        assert not solver.unassumable_variables & frozen
+        assert solver.solve(assumptions=[-4]).status is CDCLSolver().solve(cnf, [-4]).status
+
     def test_simplify_off_has_no_presolve(self):
         cnf = CNF([(1, 2)])
         solver = CDCLSolver().load(cnf)
